@@ -8,6 +8,7 @@ invalid plan or configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 from waynet.core import Params, RelWaypoint
 from waynet.dynamics import Disturbance, WorldPose, to_relative
 from waynet.harness import (CONTROLLERS, DEFAULT_PARAMS, EpisodeConfig, LOG_HEADER,
-                            format_log, run_episode, summarize)
+                            format_log, format_value, run_episode, summarize)
 from waynet.intervals import Ivl, interval_eval_controller
 from waynet.monitor import controller_monitor
 from waynet.plan import ENVIRONMENTS, PlanError, gen_environment, parse_plan, serialize
@@ -137,7 +138,6 @@ def _cmd_simulate(args) -> int:
     plan = None
     if args.plan is not None:
         plan = parse_plan(args.plan.read_text())
-        plan.validate()
         envs = [args.plan.stem]
     else:
         envs = _env_list(args.env)
@@ -166,7 +166,7 @@ def _cmd_simulate(args) -> int:
                 )
                 report, rows = run_episode(cfg)
                 if plan is not None:
-                    report = type(report)(**{**report.__dict__, "environment": env})
+                    report = dataclasses.replace(report, environment=env)
                 reports.append(report)
                 if out_dir is not None:
                     log_path = out_dir / f"ep_{env}_{controller}_{i:04d}.csv"
@@ -179,22 +179,15 @@ def _cmd_simulate(args) -> int:
         headers = list(rows[0].keys())
         lines = [",".join(headers)]
         for row in rows:
-            lines.append(",".join(_csv_fmt(row[h]) for h in headers))
+            lines.append(",".join(format_value(row[h]) for h in headers))
         (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 
     total_violations = sum(r.safety_violations for r in reports)
     return 1 if total_violations else 0
 
 
-def _csv_fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
 def _cmd_check_plan(args) -> int:
     graph = parse_plan(args.file.read_text())
-    graph.validate()
     print(f"ok: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
           f"start {graph.start}, {len(graph.terminals)} terminal(s)")
     return 0

@@ -40,11 +40,12 @@ class Disturbance:
     curvature_bias: float = 0.0
     accel_gain_error: float = 0.0
     cycle_jitter: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not abs(self.curvature_gain_error) < 1.0:
             raise ValueError("|curvature_gain_error| must be < 1")
+        if not math.isfinite(self.curvature_bias):
+            raise ValueError("curvature_bias must be finite")
         if not abs(self.accel_gain_error) < 1.0:
             raise ValueError("|accel_gain_error| must be < 1")
         if not 0.0 <= self.cycle_jitter < 1.0:

@@ -394,7 +394,7 @@ def summarize(reports, grouping=("environment", "controller")):
         rows.append(row)
 
     headers = list(rows[0].keys())
-    rendered = [[_fmt(row[hdr]) for hdr in headers] for row in rows]
+    rendered = [[format_value(row[hdr]) for hdr in headers] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in rendered)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
     for r in rendered:
@@ -402,7 +402,8 @@ def summarize(reports, grouping=("environment", "controller")):
     return "\n".join(lines) + "\n", rows
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """Summary cell text: floats to 9 significant digits."""
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)

@@ -1,11 +1,20 @@
 """Sound interval evaluation of the controller-monitor formula.
 
+There is one formula: ``interval_eval_controller`` runs
+``waynet.monitor.controller_monitor`` itself with ``Ivl`` waypoint, speed and
+acceleration and with the four ``Params`` fields as exact ``Fraction``s.
 Interval endpoints are exact rationals (every float converts exactly), so
 every primitive operation encloses the real-arithmetic result with zero
-slack -- the limiting case of outward rounding. Verdicts are three-valued:
-DefinitelyTrue only when the formula holds for every point of the box,
-DefinitelyFalse only when it fails for every point, Unknown otherwise.
-Callers must treat Unknown as failure (fail-safe).
+slack -- the limiting case of outward rounding.
+
+An ``Ivl`` comparison returns ``True`` or ``False`` only when it holds, or
+fails, for every point of its operands, and raises ``monitor.Undecided``
+otherwise. Verdicts are three-valued: DefinitelyTrue only when the formula
+holds for every point of the box, DefinitelyFalse only when it fails for
+every point, Unknown when a comparison the verdict depends on is undecided.
+Evaluation stops at the first undecided conjunct, so a box on which a later
+conjunct fails everywhere can still be Unknown. Callers must treat Unknown as
+failure (fail-safe).
 """
 
 from __future__ import annotations
@@ -13,18 +22,14 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from waynet.core import Params
+from waynet.core import Params, RelWaypoint
+from waynet.monitor import Undecided, controller_monitor
 
 
 class IntervalVerdict(enum.Enum):
     DEFINITELY_TRUE = "definitely_true"
     DEFINITELY_FALSE = "definitely_false"
     UNKNOWN = "unknown"
-
-
-_TRUE = IntervalVerdict.DEFINITELY_TRUE
-_FALSE = IntervalVerdict.DEFINITELY_FALSE
-_UNKNOWN = IntervalVerdict.UNKNOWN
 
 
 class ZeroDivideInterval(ArithmeticError):
@@ -61,6 +66,8 @@ class Ivl:
         return Ivl(-self.hi, -self.lo)
 
     def __mul__(self, other):
+        if other is self:
+            return self.square()
         other = _as_ivl(other)
         products = (self.lo * other.lo, self.lo * other.hi,
                     self.hi * other.lo, self.hi * other.hi)
@@ -87,100 +94,56 @@ class Ivl:
             return Ivl(self.hi * self.hi, self.lo * self.lo)
         return Ivl(0, max(self.lo * self.lo, self.hi * self.hi))
 
-    def abs(self):
+    def __abs__(self):
         if self.lo >= 0:
             return self
         if self.hi <= 0:
             return -self
         return Ivl(0, max(-self.lo, self.hi))
 
+    def __lt__(self, other):
+        other = _as_ivl(other)
+        return _decide(self.hi < other.lo, self.lo >= other.hi)
+
+    def __le__(self, other):
+        other = _as_ivl(other)
+        return _decide(self.hi <= other.lo, self.lo > other.hi)
+
+    def __gt__(self, other):
+        other = _as_ivl(other)
+        return _decide(self.lo > other.hi, self.hi <= other.lo)
+
+    def __ge__(self, other):
+        other = _as_ivl(other)
+        return _decide(self.lo >= other.hi, self.hi < other.lo)
+
 
 def _as_ivl(x) -> Ivl:
     return x if isinstance(x, Ivl) else Ivl(x)
 
 
-def _le(a: Ivl, b: Ivl) -> IntervalVerdict:
-    if a.hi <= b.lo:
-        return _TRUE
-    if a.lo > b.hi:
-        return _FALSE
-    return _UNKNOWN
-
-
-def _lt(a: Ivl, b: Ivl) -> IntervalVerdict:
-    if a.hi < b.lo:
-        return _TRUE
-    if a.lo >= b.hi:
-        return _FALSE
-    return _UNKNOWN
-
-
-def _and(*verdicts: IntervalVerdict) -> IntervalVerdict:
-    if any(v is _FALSE for v in verdicts):
-        return _FALSE
-    if all(v is _TRUE for v in verdicts):
-        return _TRUE
-    return _UNKNOWN
-
-
-def _or(*verdicts: IntervalVerdict) -> IntervalVerdict:
-    if any(v is _TRUE for v in verdicts):
-        return _TRUE
-    if all(v is _FALSE for v in verdicts):
-        return _FALSE
-    return _UNKNOWN
-
-
-def _inf_norm(x: Ivl, y: Ivl) -> Ivl:
-    ax, ay = x.abs(), y.abs()
-    return Ivl(max(ax.lo, ay.lo), max(ax.hi, ay.hi))
-
-
-def _go_branch(x, y, k, vl, vh, v, a, p: Params, upper: bool) -> IntervalVerdict:
-    T = Fraction(p.cycle_max)
-    eps = Fraction(p.tol)
-    v_end = v + a * T
-    if upper:
-        in_limit = _and(_le(v, vh), _le(v_end, vh))
-        gap_term = (v_end.square() - vh.square()) / Ivl(2 * Fraction(p.brake_max))
-    else:
-        in_limit = _and(_le(vl, v), _le(vl, v_end))
-        gap_term = (vl.square() - v_end.square()) / Ivl(2 * Fraction(p.accel_max))
-    bloat = (1 + k.abs() * Ivl(eps)).square()
-    need = bloat * (v * T + a * Ivl(T * T) * Ivl(Fraction(1, 2)) + gap_term) + Ivl(eps)
-    return _or(in_limit, _le(need, _inf_norm(x, y)))
+def _decide(always: bool, never: bool) -> bool:
+    if always:
+        return True
+    if never:
+        return False
+    raise Undecided
 
 
 def interval_eval_controller(x: Ivl, y: Ivl, k: Ivl, vl: Ivl, vh: Ivl,
                              v: Ivl, a: Ivl, p: Params) -> IntervalVerdict:
     """Evaluate the controller monitor (feasibility and admissibility) over a
-    box of states; conservative in the fail-safe direction."""
-    eps = Ivl(Fraction(p.tol))
-    T = Fraction(p.cycle_max)
-    zero = Ivl(0)
-    one = Ivl(1)
+    box of states; conservative in the fail-safe direction.
 
+    The one mixed Fraction/float operation in the formula, adding the zero
+    slack to eps, gives a float; it is exact because eps converts from one.
+    """
+    exact = Params(accel_max=Fraction(p.accel_max), brake_max=Fraction(p.brake_max),
+                   cycle_max=Fraction(p.cycle_max), tol=Fraction(p.tol))
     try:
-        residual = k * (x.square() + y.square() - eps.square()) * Ivl(Fraction(1, 2)) - y
-        ann = _and(_le(k.abs() * eps, one), _lt(residual.abs(), eps))
-        gap = vh - vl
-        feas = _and(
-            ann,
-            _lt(zero, x),
-            _le(zero, vl),
-            _lt(vl, vh),
-            _le(Ivl(Fraction(p.accel_max) * T), gap),
-            _le(Ivl(Fraction(p.brake_max) * T), gap),
-        )
-        if feas is _FALSE:
-            return _FALSE
-        go = _and(
-            _le(Ivl(-Fraction(p.brake_max)), a),
-            _le(a, Ivl(Fraction(p.accel_max))),
-            _le(zero, v + a * Ivl(T)),
-            _go_branch(x, y, k, vl, vh, v, a, p, upper=True),
-            _go_branch(x, y, k, vl, vh, v, a, p, upper=False),
-        )
-        return _and(feas, go)
-    except ZeroDivideInterval:
-        return _UNKNOWN
+        verdict = controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, exact)
+    except (Undecided, ZeroDivideInterval):
+        return IntervalVerdict.UNKNOWN
+    if verdict:
+        return IntervalVerdict.DEFINITELY_TRUE
+    return IntervalVerdict.DEFINITELY_FALSE

@@ -6,6 +6,11 @@ strict <, the distance clauses are non-strict <=. Clause evaluation order is
 fixed so failure attribution is deterministic. An optional ``slack`` relaxes
 every comparison by an absolute margin; it exists for the numeric
 invariant-preservation checks and defaults to zero.
+
+The controller monitor is written once, over any numbers with the arithmetic
+and ordering operators: ``waynet.intervals`` evaluates it over intervals,
+whose comparisons raise ``Undecided`` when they hold for some points of their
+operands and fail for others.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ class Clause(enum.Enum):
     CYCLE_TIME = "cycle_time"        # elapsed <= T
     PLANT_DOMAIN = "plant_domain"    # v >= 0
     INTERVAL_UNDECIDED = "interval_undecided"  # interval mode could not certify
+
+
+class Undecided(ArithmeticError):
+    """A comparison of intervals that holds for some of their points only."""
 
 
 @dataclass(frozen=True)
@@ -112,17 +121,26 @@ def _go_branch(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool,
                slack: float) -> bool:
     T = p.cycle_max
     v_end = v + a * T
+    undecided = False
+    try:
+        if upper:
+            if v <= wp.vh + slack and v_end <= wp.vh + slack:
+                return True
+        elif wp.vl <= v + slack and wp.vl <= v_end + slack:
+            return True
+    except Undecided:
+        undecided = True  # the distance disjunct below may still decide
     if upper:
-        if v <= wp.vh + slack and v_end <= wp.vh + slack:
-            return True
-        gap_term = (v_end * v_end - wp.vh * wp.vh) / (2.0 * p.brake_max)
+        gap_term = (v_end * v_end - wp.vh * wp.vh) / (2 * p.brake_max)
     else:
-        if wp.vl <= v + slack and wp.vl <= v_end + slack:
-            return True
-        gap_term = (wp.vl * wp.vl - v_end * v_end) / (2.0 * p.accel_max)
+        gap_term = (wp.vl * wp.vl - v_end * v_end) / (2 * p.accel_max)
     bloat = 1.0 + abs(wp.k) * p.tol
     need = bloat * bloat * (v * T + a * T * T / 2.0 + gap_term) + p.tol
-    return need <= inf_norm(wp.x, wp.y) + slack
+    if need <= inf_norm(wp.x, wp.y) + slack:
+        return True
+    if undecided:
+        raise Undecided
+    return False
 
 
 def go(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:

@@ -79,6 +79,8 @@ class PlanGraph:
             if t not in self.nodes:
                 raise PlanError(f"unknown terminal node {t!r}")
         for n in self.nodes.values():
+            if not all(math.isfinite(c) for c in (n.x, n.y, n.vl, n.vh)):
+                raise PlanError(f"node {n.id!r}: non-finite number")
             if not n.vh - n.vl > 0.0:
                 raise PlanError(f"node {n.id!r}: non-positive speed interval width")
             if n.vl < 0.0:
@@ -87,6 +89,8 @@ class PlanGraph:
             for ref in (e.frm, e.to):
                 if ref not in self.nodes:
                     raise PlanError(f"edge references unknown node {ref!r}")
+            if not math.isfinite(e.k):
+                raise PlanError(f"edge {e.frm!r}->{e.to!r}: non-finite curvature")
             if e.kind == "arc":
                 if e.k == 0.0:
                     raise PlanError(f"arc edge {e.frm!r}->{e.to!r} has zero curvature")
@@ -307,11 +311,6 @@ def initial_state(graph: PlanGraph, branch_policy=deterministic_first):
     else:
         heading = arc_heading(geom, 0.0)
     return WorldPose(a.x, a.y, heading), edge_index
-
-
-def initial_pose(graph: PlanGraph, branch_policy=deterministic_first) -> WorldPose:
-    """Pose at the start node, heading along the policy-chosen first segment."""
-    return initial_state(graph, branch_policy)[0]
 
 
 def _target_candidate(graph: PlanGraph, edge_index: int, pose: WorldPose,

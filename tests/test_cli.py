@@ -34,6 +34,31 @@ def test_check_plan_invalid_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+_FINITE_PLAN = "node a {X} {Y} {vl} {vh}\nnode b 10 0 1 5\nedge a b arc {k}\nstart a\n"
+_FINITE_FIELDS = {"X": "0", "Y": "0", "vl": "1", "vh": "5", "k": "0.05"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", list(_FINITE_FIELDS))
+def test_check_plan_non_finite_exits_2(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.plan"
+    bad.write_text(_FINITE_PLAN.format(**{**_FINITE_FIELDS, field: value}))
+    code, out, err = run(capsys, "check-plan", str(bad))
+    assert code == 2
+    assert "ok" not in out
+    assert ("edge 'a'->'b'" if field == "k" else "node 'a'") in err
+    assert "non-finite" in err
+
+
+def test_simulate_interval_mode_inf_limit_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.plan"
+    bad.write_text(_FINITE_PLAN.format(**{**_FINITE_FIELDS, "vh": "inf"}))
+    code, _, err = run(capsys, "simulate", "--plan", str(bad), "--interval-mode",
+                       "--episodes", "1")
+    assert code == 2
+    assert "non-finite" in err
+
+
 def test_check_plan_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "check-plan", "/nonexistent/x.plan")
     assert code == 2

@@ -160,6 +160,11 @@ class TestDisturbance:
         with pytest.raises(ValueError):
             Disturbance(cycle_jitter=1.0)
 
+    @pytest.mark.parametrize("bias", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bias_rejected(self, bias):
+        with pytest.raises(ValueError, match="curvature_bias must be finite"):
+            Disturbance(curvature_bias=bias)
+
 
 def test_rel_point_must_be_finite():
     with pytest.raises(ValueError):

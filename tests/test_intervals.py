@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from waynet.core import Params, RelWaypoint
 from waynet.intervals import (IntervalVerdict, Ivl, ZeroDivideInterval,
                               interval_eval_controller)
-from waynet.monitor import controller_monitor
+from waynet.monitor import Undecided, controller_monitor
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
 
@@ -33,11 +34,25 @@ class TestIvl:
         assert (prod.lo, prod.hi) == (-8, 12)
 
     def test_square_straddling_zero(self):
-        sq = Ivl(-2, 3).square()
-        assert (sq.lo, sq.hi) == (0, 9)
+        x = Ivl(-2, 3)
+        for sq in (x.square(), x * x):
+            assert (sq.lo, sq.hi) == (0, 9)
+
+    def test_comparisons_decided_when_disjoint_or_touching(self):
+        lo, hi = Ivl(0, 1), Ivl(2, 3)
+        assert (lo < hi, lo <= hi, lo > hi, lo >= hi) == (True, True, False, False)
+        assert (hi < lo, hi <= lo, hi > lo, hi >= lo) == (False, False, True, True)
+        touch = Ivl(1, 2)
+        assert (lo <= touch, lo > touch, touch >= lo, touch < lo) == (True, False, True, False)
+        assert (0.0 <= lo, lo < 1.5, Fraction(-1) < lo) == (True, True, True)
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_comparisons_undecided_when_overlapping(self, op):
+        with pytest.raises(Undecided):
+            op(Ivl(0, 2), Ivl(1, 3))
 
     def test_abs(self):
-        a = Ivl(-3, 1).abs()
+        a = abs(Ivl(-3, 1))
         assert (a.lo, a.hi) == (0, 3)
 
     def test_division_by_zero_interval_raises(self):
@@ -59,6 +74,14 @@ class TestVerdicts:
     def test_degenerate_hard_fail(self):
         v = interval_eval_controller(*degenerate(12.0, 0.0, 0.0, 1.0, 2.0, 5.0, 2.0), P)
         assert v is IntervalVerdict.DEFINITELY_FALSE
+
+    def test_undecided_limit_test_falls_through_to_distance(self):
+        # v straddles vh, so the within-limits test is undecided; the distance
+        # clause holds for every speed in the box.
+        v = interval_eval_controller(
+            *box((12.0, 12.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (2.0, 2.0),
+                 (1.9, 2.1), (-1.0, -1.0)), P)
+        assert v is IntervalVerdict.DEFINITELY_TRUE
 
     def test_straddling_distance_boundary(self):
         v = interval_eval_controller(
