@@ -31,12 +31,17 @@ def _episode_seed(base: int, env: str, controller: str, index: int) -> int:
 
 
 def _parse_disturbance(text: str) -> Disturbance:
+    """argparse type of --disturbance; an ArgumentTypeError keeps its message
+    in the usage error, where a plain ValueError's is dropped."""
     parts = text.split(",")
     if len(parts) != 4:
-        raise ValueError("--disturbance expects gain,bias,accel,jitter")
-    g, b, a, j = (float(p) for p in parts)
-    return Disturbance(curvature_gain_error=g, curvature_bias=b,
-                       accel_gain_error=a, cycle_jitter=j)
+        raise argparse.ArgumentTypeError("--disturbance expects gain,bias,accel,jitter")
+    try:
+        g, b, a, j = (float(p) for p in parts)
+        return Disturbance(curvature_gain_error=g, curvature_bias=b,
+                           accel_gain_error=a, cycle_jitter=j)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _params(args) -> Params:

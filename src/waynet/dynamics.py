@@ -1,10 +1,12 @@
-"""Kinematics: the body-frame plant ODE with an exact closed-form solution,
-an RK4 integrator for it, a world-frame unicycle with actuation disturbance,
-and world/body frame conversion.
+"""Kinematics: the exact flow of the plant, in the body frame and in the
+world frame, exact goal-region events along it, actuation disturbance, and
+world/body frame conversion.
 
-The plant domain never allows reverse motion: when braking drives the speed
-to zero the trajectory freezes there (handled analytically, since speed is
-linear in time, rather than by step rejection).
+Within a cycle curvature and acceleration are constant, so the path is a
+circular arc (a line for k = 0) of length s = v t + a t^2 / 2. The plant
+domain never allows reverse motion: when braking drives the speed to zero
+the trajectory freezes there (handled analytically, since speed is linear
+in time).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from waynet.core import WorldPose, normalize_angle
+from waynet.core import WorldPose
 
 
 @dataclass(frozen=True)
@@ -51,25 +53,26 @@ class Disturbance:
         if not 0.0 <= self.cycle_jitter < 1.0:
             raise ValueError("cycle_jitter must be in [0, 1)")
 
-    @property
-    def is_zero(self) -> bool:
-        return (self.curvature_gain_error == 0.0 and self.curvature_bias == 0.0
-                and self.accel_gain_error == 0.0 and self.cycle_jitter == 0.0)
+
+def _travel(v0: float, a: float, t: float):
+    """Speed and arc length after time t, frozen at the v = 0 event for a < 0."""
+    td = min(t, v0 / -a) if a < 0.0 else t
+    return max(0.0, v0 + a * td), v0 * td + a * td * td / 2.0
 
 
-ZERO_DISTURBANCE = Disturbance()
+def _arc_terms(u: float):
+    """cos u, sin u, sin(u)/u and (1 - cos u)/u for the turn angle u = k s.
 
-
-def plant_derivative(pt: RelPoint, v: float, a: float, k: float):
-    """Body-frame plant ODE right-hand side: (dx, dy, dv, dt)."""
-    return (v * (k * pt.y - 1.0), -v * k * pt.x, a, 1.0)
-
-
-def _stop_time(v0: float, a: float, t: float) -> float:
-    """Duration actually driven in [0, t]: capped at the v = 0 event for a < 0."""
-    if a < 0.0:
-        return min(t, v0 / -a)
-    return t
+    The last two give the body-frame displacement (s sinc, s hvc) of an arc of
+    length s, written without 1/k terms and by series near u = 0 so tiny
+    curvatures degrade gracefully to the straight line.
+    """
+    c, sn = math.cos(u), math.sin(u)
+    if abs(u) > 1e-4:
+        return c, sn, sn / u, (1.0 - c) / u
+    u2 = u * u
+    return (c, sn, 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0),
+            u / 2.0 * (1.0 - u2 / 12.0 * (1.0 - u2 / 30.0)))
 
 
 def closed_form_relative(pt0: RelPoint, v0: float, a: float, k: float, t: float):
@@ -80,54 +83,67 @@ def closed_form_relative(pt0: RelPoint, v0: float, a: float, k: float, t: float)
     """
     if t < 0.0:
         raise ValueError(f"closed_form_relative requires t >= 0, got {t!r}")
-    td = _stop_time(v0, a, t)
-    v = max(0.0, v0 + a * td)
-    s = v0 * td + a * td * td / 2.0
+    v, s = _travel(v0, a, t)
     if k == 0.0:
         return RelPoint(pt0.x - s, pt0.y), v
-    # Rotation about (0, 1/k) by -k s, written without 1/k terms so tiny
-    # curvatures degrade gracefully to the straight-line translation.
-    u = k * s
-    c, sn = math.cos(u), math.sin(u)
-    if abs(u) > 1e-4:
-        sinc = sn / u
-        hvc = (1.0 - c) / u
-    else:
-        u2 = u * u
-        sinc = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0)
-        hvc = u / 2.0 * (1.0 - u2 / 12.0 * (1.0 - u2 / 30.0))
+    # Rotation about (0, 1/k) by -k s.
+    c, sn, sinc, hvc = _arc_terms(k * s)
     x, y = pt0.x, pt0.y
     return RelPoint(x * c + y * sn - s * sinc, y * c - x * sn + s * hvc), v
 
 
-def step_relative(pt: RelPoint, v: float, a: float, k: float, dt: float,
-                  substeps: int = 20):
-    """Classical RK4 integration of the plant ODE over dt with the v = 0 event
-    handled analytically. Returns (RelPoint, v)."""
-    if dt < 0.0:
-        raise ValueError(f"step_relative requires dt >= 0, got {dt!r}")
-    if substeps < 1:
-        raise ValueError(f"step_relative requires substeps >= 1, got {substeps}")
-    td = _stop_time(v, a, dt)
-    if td <= 0.0:
-        return pt, max(0.0, v)
-    h = td / substeps
-    x, y = pt.x, pt.y
+def arc_step(pose: WorldPose, v: float, k: float, a: float, dt: float):
+    """Exact world-frame flow for dt >= 0 under constant curvature k and
+    acceleration a. Returns (WorldPose, v, s) with s the arc length driven."""
+    v1, s = _travel(v, a, dt)
+    u = k * s
+    _, _, sinc, hvc = _arc_terms(u)
+    dx, dy = s * sinc, s * hvc
+    c, sn = math.cos(pose.heading), math.sin(pose.heading)
+    return WorldPose(pose.x + c * dx - sn * dy, pose.y + sn * dx + c * dy,
+                     pose.heading + u), v1, s
 
-    def deriv(x, y, v):
-        return v * (k * y - 1.0), -v * k * x
 
-    for i in range(substeps):
-        vi = v + a * (i * h)
-        vm = vi + a * (h / 2.0)
-        ve = vi + a * h
-        k1x, k1y = deriv(x, y, vi)
-        k2x, k2y = deriv(x + h / 2.0 * k1x, y + h / 2.0 * k1y, vm)
-        k3x, k3y = deriv(x + h / 2.0 * k2x, y + h / 2.0 * k2y, vm)
-        k4x, k4y = deriv(x + h * k3x, y + h * k3y, ve)
-        x += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return RelPoint(x, y), max(0.0, v + a * td)
+def goal_intervals(x: float, y: float, k: float, s: float, eps: float):
+    """Arc-length intervals within [0, s] where the arc of curvature k, from
+    the body-frame origin heading +x, lies within eps of the point (x, y).
+
+    Returns a list of (lo, hi) pairs in increasing order.
+    """
+    if k == 0.0:
+        h2 = eps * eps - y * y
+        if h2 < 0.0:
+            return []
+        h = math.sqrt(h2)
+        lo, hi = max(0.0, x - h), min(s, x + h)
+        return [(lo, hi)] if lo <= hi else []
+    # The arc is the circle of radius 1/|k| about (0, 1/k). With w = |k| d, d
+    # the distance from (x, y) to that center, delta = d - 1/|k| is the
+    # signed distance of the point from the circle, computed without the
+    # cancellation in w - 1 (w^2 - 1 factors exactly).
+    ak = abs(k)
+    sgn = 1.0 if k > 0.0 else -1.0
+    w = math.hypot(ak * x, ak * y - sgn)
+    delta = (ak * (x * x + y * y) - 2.0 * y * sgn) / (w + 1.0)
+    h2 = eps * eps - delta * delta
+    if h2 < 0.0:
+        return []
+    # Inside the disk iff the turn angle |k| sigma is within alpha of beta,
+    # the angle of closest approach (law of cosines about the center).
+    half = ak * math.sqrt(h2) / (2.0 * math.sqrt(w)) if w > 0.0 else math.inf
+    if half >= 1.0:
+        return [(0.0, s)]
+    alpha = 2.0 * math.asin(half)
+    beta = math.atan2(ak * x, 1.0 - k * y)
+    u_max = ak * s
+    out = []
+    centre = beta
+    while centre - alpha <= u_max:
+        lo, hi = max(0.0, centre - alpha), centre + alpha
+        if hi >= 0.0:
+            out.append((min(s, lo / ak), s if hi >= u_max else hi / ak))
+        centre += 2.0 * math.pi
+    return out
 
 
 def actuated(k_cmd: float, a_cmd: float, dist: Disturbance):
@@ -135,40 +151,6 @@ def actuated(k_cmd: float, a_cmd: float, dist: Disturbance):
     k_act = k_cmd * (1.0 + dist.curvature_gain_error) + dist.curvature_bias
     a_act = a_cmd * (1.0 + dist.accel_gain_error)
     return k_act, a_act
-
-
-def world_step(pose: WorldPose, v: float, k_cmd: float, a_cmd: float, dt: float,
-               dist: Disturbance = ZERO_DISTURBANCE, substeps: int = 20):
-    """Integrate the world-frame unicycle for dt with actuation disturbance.
-
-    RK4 on (X, Y, psi) with speed linear in time, clamped at zero (the
-    vehicle never reverses). Returns (WorldPose, v).
-    """
-    if dt < 0.0:
-        raise ValueError(f"world_step requires dt >= 0, got {dt!r}")
-    k_act, a_act = actuated(k_cmd, a_cmd, dist)
-    td = _stop_time(v, a_act, dt)
-    if td <= 0.0:
-        return pose, max(0.0, v)
-    h = td / substeps
-    X, Y, psi = pose.x, pose.y, pose.heading
-    for i in range(substeps):
-        vi = v + a_act * (i * h)
-        vm = vi + a_act * (h / 2.0)
-        ve = vi + a_act * h
-        # psi' = v k_act decouples from X, Y; X' = v cos psi, Y' = v sin psi.
-        p1 = psi
-        p2 = psi + h / 2.0 * vi * k_act
-        p3 = psi + h / 2.0 * vm * k_act
-        p4 = psi + h * vm * k_act
-        k1x, k1y = vi * math.cos(p1), vi * math.sin(p1)
-        k2x, k2y = vm * math.cos(p2), vm * math.sin(p2)
-        k3x, k3y = vm * math.cos(p3), vm * math.sin(p3)
-        k4x, k4y = ve * math.cos(p4), ve * math.sin(p4)
-        X += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        Y += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        psi += h / 6.0 * (vi * k_act + 2.0 * vm * k_act + 2.0 * vm * k_act + ve * k_act)
-    return WorldPose(X, Y, normalize_angle(psi)), max(0.0, v + a_act * td)
 
 
 def to_relative(pose: WorldPose, world_pt) -> RelPoint:

@@ -3,14 +3,15 @@
 One cycle: sense pose -> extract active target -> controller proposes
 (waypoint, curvature, acceleration) -> controller monitor gates the proposal
 (fallback braking on rejection, reusing the last monitored target) ->
-integrate world physics for a jittered duration <= T -> plant monitor checks
+move along the exact arc for a jittered duration <= T -> plant monitor checks
 the sensed state against the in-force target (fallback next cycle on
 failure) -> record.
 
 Safety accounting follows the goal-region contract: a cycle is a safety
 violation when the vehicle is inside the goal region (Euclidean distance
-<= tol) above the upper speed limit at any integration substep. Goal entries
-below the lower limit are tracked separately (below_vl_at_goal): sustained
+<= tol) above the upper speed limit at any point of its arc; the goal-region
+intervals of the arc are computed exactly, not sampled. Goal entries below
+the lower limit are tracked separately (below_vl_at_goal): sustained
 fallback braking legitimately sheds speed, and those events are recorded
 without being classified as violations.
 """
@@ -21,8 +22,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from waynet.core import Params, RelWaypoint, WorldPose, euclid_norm
-from waynet.dynamics import Disturbance, RelPoint, actuated, to_relative
+from waynet.core import Params, RelWaypoint
+from waynet.dynamics import (Disturbance, RelPoint, actuated, arc_step, goal_intervals,
+                             to_relative)
 from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
 from waynet.monitor import (PASS, Clause, MonitorVerdict, controller_monitor,
                             fallback_accel, plant_monitor)
@@ -75,7 +77,6 @@ class EpisodeConfig:
     env_scale: float | None = None
     branch: str = "first"                # "first" | "random"
     collect_log: bool = True
-    substeps: int = 20
 
     def __post_init__(self):
         if self.max_cycles <= 0:
@@ -226,7 +227,6 @@ def run_episode(cfg: EpisodeConfig):
 
     T = p.cycle_max
     eps = p.tol
-    eps2 = eps * eps
 
     while cycles < cfg.max_cycles:
         if cycles > 0:
@@ -275,42 +275,23 @@ def run_episode(cfg: EpisodeConfig):
             a_cmd = a_prop
             k_cmd = k_steer
 
-        # Physics for a jittered duration <= T, checked substep by substep.
+        # Exact physics for a jittered duration <= T, with exact goal-region
+        # events along the arc (wp_seg is the in-force target in the body
+        # frame at cycle start). Speed is monotone within a cycle, so each
+        # event interval's extreme speeds sit at its endpoints.
         dt = T * (1.0 - cfg.disturbance.cycle_jitter * rng.random())
         k_act, a_act = actuated(k_cmd, a_cmd, cfg.disturbance)
-        td = min(dt, v / -a_act) if a_act < 0.0 else dt
-        h = td / cfg.substeps
-        X, Y, psi = pose.x, pose.y, pose.heading
-        vv = v
-        wx, wy = inforce_world
+        new_pose, vv, s = arc_step(pose, v, k_act, a_act, dt)
+        distance += s
         cycle_violation = False
         cycle_below_vl = False
-        if h > 0.0:
-            for _ in range(cfg.substeps):
-                vm = vv + a_act * (h / 2.0)
-                ve = vv + a_act * h
-                p2 = psi + h / 2.0 * vv * k_act
-                p3 = psi + h / 2.0 * vm * k_act
-                p4 = psi + h * vm * k_act
-                c1, s1 = math.cos(psi), math.sin(psi)
-                c2, s2 = math.cos(p2), math.sin(p2)
-                c3, s3 = math.cos(p3), math.sin(p3)
-                c4, s4 = math.cos(p4), math.sin(p4)
-                X += h / 6.0 * (vv * c1 + 2.0 * vm * c2 + 2.0 * vm * c3 + ve * c4)
-                Y += h / 6.0 * (vv * s1 + 2.0 * vm * s2 + 2.0 * vm * s3 + ve * s4)
-                psi += k_act * (vv * h + a_act * h * h / 2.0)
-                distance += vv * h + a_act * h * h / 2.0
-                vv = ve
-                # Goal-region bookkeeping at substep resolution.
-                dx, dy = wx - X, wy - Y
-                if dx * dx + dy * dy <= eps2:
-                    reached_hint = True
-                    if vv > inforce_vh:
-                        cycle_violation = True
-                    elif vv < inforce_vl:
-                        cycle_below_vl = True
-        vv = max(0.0, vv)
-        new_pose = WorldPose(X, Y, psi)
+        for lo, hi in goal_intervals(wp_seg.x, wp_seg.y, k_act, s, eps):
+            reached_hint = True
+            speeds = [math.sqrt(max(0.0, v * v + 2.0 * a_act * sigma)) for sigma in (lo, hi)]
+            if max(speeds) > inforce_vh:
+                cycle_violation = True
+            if min(speeds) < inforce_vl:
+                cycle_below_vl = True
         elapsed_total += dt
 
         # Plant monitor against the in-force target.
@@ -331,7 +312,8 @@ def run_episode(cfg: EpisodeConfig):
             rows.append(LogRow(
                 cycle=cycles, t=elapsed_total - dt, x=pose.x, y=pose.y,
                 psi=pose.heading, v=v, a_cmd=a_prop, a_acted=a_cmd,
-                k_decl=inforce_k, wx=wx, wy=wy, vl=inforce_vl, vh=inforce_vh,
+                k_decl=inforce_k, wx=inforce_world[0], wy=inforce_world[1],
+                vl=inforce_vl, vh=inforce_vh,
                 ctrl_verdict="pass" if ctrl_verdict.passed else ctrl_verdict.failed_clause.value,
                 plant_verdict="pass" if plant_verdict.passed else plant_verdict.failed_clause.value))
 

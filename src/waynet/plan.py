@@ -215,12 +215,6 @@ def arc_heading(geom: ArcGeometry, frac: float) -> float:
     return theta + math.copysign(math.pi / 2.0, geom.sweep)
 
 
-def subdivide_arc(x0: float, y0: float, x1: float, y1: float, k: float, n: int):
-    """n+1 points splitting the arc into n equal-sweep pieces (endpoints included)."""
-    geom = arc_geometry(x0, y0, x1, y1, k)
-    return [arc_point(geom, i / n) for i in range(n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Active target extraction
 
@@ -383,8 +377,8 @@ def next_target(graph: PlanGraph, current: ActiveTarget | None, pose: WorldPose,
                 overshoot: float = 0.0) -> ActiveTarget:
     """Advance or keep the active target and recompute its body-frame view.
 
-    ``reached_hint`` marks that the vehicle passed through the target's goal
-    region between cycle boundaries (sampled at integration substeps).
+    ``reached_hint`` marks that the vehicle's arc passed through the target's
+    goal region between cycle boundaries.
     Raises DeadEnd when the segment's end node is reached and is a terminal
     (completed) or has no successors (stuck).
     """

@@ -2,8 +2,8 @@
 along exact flows, progress-function monotonicity for the three reference
 speed-law cases, and a quadrature oracle for the admissibility distance bound.
 
-All checks use the exact closed-form flow, never the RK4 integrator, so a
-reported violation indicates a formula bug rather than integration error.
+All checks use the exact closed-form flow, so a reported violation
+indicates a formula bug rather than integration error.
 """
 
 from __future__ import annotations

@@ -11,14 +11,16 @@ import pytest
 from waynet.cli import main as cli_main
 from waynet.controllers import declared_curvature, liveness_accel
 from waynet.core import Params, RelWaypoint, WorldPose, euclid_norm, inf_norm
-from waynet.dynamics import (Disturbance, RelPoint, closed_form_relative,
-                             from_relative, step_relative, to_relative, world_step)
+from waynet.dynamics import (Disturbance, RelPoint, arc_step, closed_form_relative,
+                             from_relative, to_relative)
 from waynet.harness import EpisodeConfig, run_episode
 from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
 from waynet.monitor import (controller_monitor, fallback_accel, monitor_1d,
                             simulate_1d, Toy1DState)
 from waynet.verify import (PROGRESS_CASES, check_invariant_preservation,
                            check_progress, go_oracle, sample_compliant_state)
+
+from rk4 import step_relative
 
 ENVS = ("rect", "turns", "clover")
 
@@ -171,7 +173,7 @@ def test_criterion_5_frame_consistency():
         k = rng.uniform(-k_cap, k_cap)
         world_pt = from_relative(pose, RelPoint(rng.uniform(1, 10), rng.uniform(-3, 3)))
         rel0 = to_relative(pose, world_pt)
-        pose1, _ = world_step(pose, v, k, a, dt=0.5)
+        pose1, _, _ = arc_step(pose, v, k, a, dt=0.5)
         rel_direct, _ = step_relative(rel0, v, a, k, 0.5)
         rel_via_world = to_relative(pose1, world_pt)
         assert math.hypot(rel_direct.x - rel_via_world.x,

@@ -103,6 +103,18 @@ def test_simulate_bad_env_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value, reason", [
+    ("0,nan,0,0", "curvature_bias must be finite"),
+    ("1.5,0,0,0", "|curvature_gain_error| must be < 1"),
+    ("1,2,3", "expects gain,bias,accel,jitter"),
+])
+def test_simulate_bad_disturbance_exits_2(capsys, value, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--disturbance", value])
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_simulate_with_plan_file(tmp_path, capsys):
     plan = tmp_path / "course.plan"
     run(capsys, "gen-env", "rect", "--scale", "30", "--out", str(plan))

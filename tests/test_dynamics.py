@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waynet.core import WorldPose
-from waynet.dynamics import (Disturbance, RelPoint, ZERO_DISTURBANCE, actuated,
-                             closed_form_relative, from_relative, plant_derivative,
-                             step_relative, to_relative, world_step)
+from waynet.dynamics import (Disturbance, RelPoint, actuated, arc_step,
+                             closed_form_relative, from_relative, goal_intervals,
+                             to_relative)
+
+from rk4 import plant_derivative, step_relative
 
 
 class TestPlantDerivative:
@@ -81,25 +84,23 @@ def test_rk4_radius_conservation():
 
 class TestWorldStep:
     def test_straight(self):
-        pose, v = world_step(WorldPose(0.0, 0.0, 0.0), v=2.0, k_cmd=0.0, a_cmd=0.0,
-                             dt=1.0)
+        pose, v, s = arc_step(WorldPose(0.0, 0.0, 0.0), v=2.0, k=0.0, a=0.0, dt=1.0)
         assert (pose.x, pose.y, pose.heading) == pytest.approx((2.0, 0.0, 0.0))
-        assert v == 2.0
+        assert (v, s) == (2.0, 2.0)
 
     def test_unicycle_arc_heading(self):
-        pose, _ = world_step(WorldPose(0.0, 0.0, 0.0), v=1.0, k_cmd=0.5, a_cmd=0.0,
-                             dt=2.0)
+        pose, _, _ = arc_step(WorldPose(0.0, 0.0, 0.0), v=1.0, k=0.5, a=0.0, dt=2.0)
         assert pose.heading == pytest.approx(1.0, abs=1e-9)
 
     def test_stop_event(self):
-        pose, v = world_step(WorldPose(0.0, 0.0, 0.0), v=1.0, k_cmd=0.0, a_cmd=-2.0,
-                             dt=3.0)
+        pose, v, s = arc_step(WorldPose(0.0, 0.0, 0.0), v=1.0, k=0.0, a=-2.0, dt=3.0)
         assert v == 0.0
         assert pose.x == pytest.approx(0.25, abs=1e-9)
+        assert s == pytest.approx(0.25, abs=1e-9)
 
     def test_frame_consistency_with_relative_integrator(self):
-        # Tracking a fixed world point through world_step + to_relative must
-        # agree with integrating the body-frame ODE directly.
+        # Tracking a fixed world point through the exact world step +
+        # to_relative must agree with RK4 on the body-frame ODE.
         rng = random.Random(9)
         for _ in range(30):
             pose = WorldPose(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3, 3))
@@ -110,11 +111,72 @@ class TestWorldStep:
             k = rng.uniform(-k_cap, k_cap)
             world_pt = from_relative(pose, RelPoint(rng.uniform(1, 10), rng.uniform(-3, 3)))
             rel0 = to_relative(pose, world_pt)
-            pose1, _ = world_step(pose, v, k, a, dt=0.5)
+            pose1, _, _ = arc_step(pose, v, k, a, dt=0.5)
             rel_direct, _ = step_relative(rel0, v, a, k, 0.5)
             rel_via_world = to_relative(pose1, world_pt)
             assert math.hypot(rel_direct.x - rel_via_world.x,
                               rel_direct.y - rel_via_world.y) <= 1e-6
+
+
+def _arc_distance(x, y, k, sigma):
+    """Distance from the arc point at length sigma to the body-frame point
+    (x, y), read off the closed-form flow."""
+    pt, _ = closed_form_relative(RelPoint(x, y), 1.0, 0.0, k, sigma)
+    return math.hypot(pt.x, pt.y)
+
+
+class TestGoalIntervals:
+    CURVATURES = [0.0] + [sign * m for m in (1e-12, 1e-7, 1e-2, 2.0) for sign in (1, -1)]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(k=st.sampled_from(CURVATURES),
+           s=st.floats(0.0, 60.0),
+           eps=st.floats(0.1, 2.0),
+           at=st.floats(0.0, 1.0),
+           r=st.floats(0.0, 1.5),
+           theta=st.floats(-math.pi, math.pi))
+    def test_matches_dense_sampling(self, k, s, eps, at, r, theta):
+        # Put the target near a point of the arc so that most cases meet the
+        # disk; |k| = 2 over up to 60 m wraps the circle many times.
+        near, _, _ = arc_step(WorldPose(0.0, 0.0, 0.0), 1.0, k, 0.0, at * s)
+        x, y = near.x + r * eps * math.cos(theta), near.y + r * eps * math.sin(theta)
+        spans = goal_intervals(x, y, k, s, eps)
+        tol = 1e-9
+        prev = -math.inf
+        for lo, hi in spans:
+            assert prev < lo <= hi <= s and lo >= 0.0
+            prev = hi
+            for sigma in (lo, (lo + hi) / 2.0, hi):
+                assert _arc_distance(x, y, k, sigma) <= eps + tol
+            if lo > 0.0:
+                assert _arc_distance(x, y, k, lo) >= eps - tol
+            if hi < s:
+                assert _arc_distance(x, y, k, hi) >= eps - tol
+        n = 4000
+        for i in range(n + 1):
+            sigma = min(s, s * i / n)
+            d = _arc_distance(x, y, k, sigma)
+            inside = any(lo <= sigma <= hi for lo, hi in spans)
+            if d < eps - tol:
+                assert inside, (sigma, d)
+            elif d > eps + tol:
+                assert not inside, (sigma, d)
+
+    def test_grazing_pass_between_substeps(self):
+        # 35 m/s for a 0.5 s cycle; the chord through the disk is 0.089 m long
+        # and lies between two of the 20 equally spaced points of the arc.
+        eps, s = 1.0, 17.5
+        x, y = 0.4375, 0.999 * eps
+        (lo, hi), = goal_intervals(x, y, 0.0, s, eps)
+        assert lo < x < hi
+        assert not any(lo <= s * i / 20 <= hi for i in range(21))
+
+    def test_whole_arc_inside(self):
+        assert goal_intervals(0.0, 0.5, 2.0, 100.0, 1.0) == [(0.0, 100.0)]
+
+    def test_miss(self):
+        assert goal_intervals(5.0, 3.0, 0.0, 10.0, 1.0) == []
+        assert goal_intervals(5.0, 3.0, 0.1, 10.0, 1.0) == []
 
 
 class TestFrames:
@@ -149,8 +211,7 @@ class TestDisturbance:
         assert a_act == pytest.approx(1.8)
 
     def test_zero_is_identity(self):
-        assert actuated(0.7, -1.3, ZERO_DISTURBANCE) == (0.7, -1.3)
-        assert ZERO_DISTURBANCE.is_zero
+        assert actuated(0.7, -1.3, Disturbance()) == (0.7, -1.3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from waynet.plan import (ActiveTarget, DeadEnd, ENVIRONMENTS, PlanError,
                          arc_geometry, arc_heading, arc_point, curvature_through,
                          deterministic_first, gen_environment, initial_state,
                          next_target, parse_plan, seeded_random, segment_point,
-                         serialize, subdivide_arc, target_for_edge)
+                         serialize, target_for_edge)
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
 
@@ -105,21 +105,15 @@ class TestArcGeometry:
         g = arc_geometry(1.0, 2.0, 4.0, 3.0, k=0.3)
         assert arc_point(g, 0.0) == pytest.approx((1.0, 2.0), abs=1e-9)
         assert arc_point(g, 1.0) == pytest.approx((4.0, 3.0), abs=1e-9)
+        for i in range(9):
+            x, y = arc_point(g, i / 8)
+            assert math.hypot(x - g.cx, y - g.cy) == pytest.approx(g.radius, abs=1e-9)
 
     def test_heading_tangent_to_arc(self):
         g = arc_geometry(0.0, 0.0, 0.0, 2.0, k=1.0)
         # Left half-circle from the origin: enter heading +x, exit heading -x.
         assert arc_heading(g, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert arc_heading(g, 0.5) == pytest.approx(math.pi / 2.0)
-
-    def test_subdivide_preserves_radius_and_endpoints(self):
-        pts = subdivide_arc(1.0, 2.0, 4.0, 3.0, 0.3, n=8)
-        assert len(pts) == 9
-        assert pts[0] == pytest.approx((1.0, 2.0), abs=1e-9)
-        assert pts[-1] == pytest.approx((4.0, 3.0), abs=1e-9)
-        g = arc_geometry(1.0, 2.0, 4.0, 3.0, 0.3)
-        for x, y in pts:
-            assert math.hypot(x - g.cx, y - g.cy) == pytest.approx(g.radius, abs=1e-9)
 
     def test_coincident_endpoints_rejected(self):
         with pytest.raises(PlanError):
