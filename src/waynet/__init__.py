@@ -6,13 +6,12 @@ monitor gates it, a plant monitor checks the physics afterwards, and a
 maximum-braking fallback takes over whenever either check fails.
 """
 
-from waynet.core import Params, RelWaypoint, VehicleState, WorldPose
+from waynet.core import Params, RelWaypoint, WorldPose
 from waynet.monitor import MonitorVerdict, Clause
 
 __all__ = [
     "Params",
     "RelWaypoint",
-    "VehicleState",
     "WorldPose",
     "MonitorVerdict",
     "Clause",

@@ -8,7 +8,6 @@ invalid plan or configuration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import sys
 import time
@@ -75,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "or a comma-separated list")
     sim.add_argument("--episodes", type=int, default=5)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--scale", type=float, help="course scale override (m)")
+    sim.add_argument("--scale", type=float,
+                     help="course scale (m); default: each course's own")
     sim.add_argument("--max-cycles", type=int, default=2000)
     sim.add_argument("--branch", choices=("first", "random"), default="first")
     sim.add_argument("--disturbance", type=_parse_disturbance,
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-env", help="emit a built-in course as a plan file")
     gen.add_argument("name", choices=ENVIRONMENTS)
-    gen.add_argument("--scale", type=float, default=40.0)
+    gen.add_argument("--scale", type=float, help="course scale (m); default: the course's own")
     gen.add_argument("--out", type=Path, help="output file (default stdout)")
 
     ev = sub.add_parser("monitor-eval", help="re-run the monitors over a log")
@@ -140,23 +140,21 @@ def _env_list(text: str) -> list[str]:
 def _cmd_simulate(args) -> int:
     params = _params(args)
     controllers = _controller_list(args.controller)
-    plan = None
     if args.plan is not None:
-        plan = parse_plan(args.plan.read_text())
-        envs = [args.plan.stem]
+        plans = {args.plan.stem: parse_plan(args.plan.read_text())}
     else:
-        envs = _env_list(args.env)
+        plans = {env: gen_environment(env, args.scale) for env in _env_list(args.env)}
 
     out_dir = args.out
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
-    for env in envs:
+    for env, plan in plans.items():
         for controller in controllers:
             for i in range(args.episodes):
                 cfg = EpisodeConfig(
-                    environment=None if plan is not None else env,
+                    environment=env,
                     plan=plan,
                     controller=controller,
                     params=params,
@@ -165,13 +163,10 @@ def _cmd_simulate(args) -> int:
                     seed=_episode_seed(args.seed, env, controller, i),
                     interval_mode=args.interval_mode,
                     monitoring=not args.no_monitor,
-                    env_scale=args.scale,
                     branch=args.branch,
                     collect_log=out_dir is not None,
                 )
                 report, rows = run_episode(cfg)
-                if plan is not None:
-                    report = dataclasses.replace(report, environment=env)
                 reports.append(report)
                 if out_dir is not None:
                     log_path = out_dir / f"ep_{env}_{controller}_{i:04d}.csv"

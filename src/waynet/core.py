@@ -42,21 +42,6 @@ class RelWaypoint:
     vh: float  # m/s, upper speed limit at the waypoint
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Speed, commanded acceleration, and time since the cycle started."""
-
-    v: float  # m/s
-    a: float  # m/s^2
-    t: float  # s
-
-    def __post_init__(self):
-        if self.v < 0.0:
-            raise ValueError(f"VehicleState.v must be non-negative, got {self.v!r}")
-        if self.t < 0.0:
-            raise ValueError(f"VehicleState.t must be non-negative, got {self.t!r}")
-
-
 def normalize_angle(psi: float) -> float:
     """Wrap an angle to (-pi, pi], ties mapping to +pi."""
     wrapped = math.fmod(psi, 2.0 * math.pi)

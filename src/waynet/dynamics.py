@@ -1,6 +1,6 @@
 """Kinematics: the exact flow of the plant, in the body frame and in the
-world frame, exact goal-region events along it, actuation disturbance, and
-world/body frame conversion.
+world frame, the exact first entry into and last exit from a goal region
+along it, actuation disturbance, and world/body frame conversion.
 
 Within a cycle curvature and acceleration are constant, so the path is a
 circular arc (a line for k = 0) of length s = v t + a t^2 / 2. The plant
@@ -104,19 +104,20 @@ def arc_step(pose: WorldPose, v: float, k: float, a: float, dt: float):
                      pose.heading + u), v1, s
 
 
-def goal_intervals(x: float, y: float, k: float, s: float, eps: float):
-    """Arc-length intervals within [0, s] where the arc of curvature k, from
-    the body-frame origin heading +x, lies within eps of the point (x, y).
-
-    Returns a list of (lo, hi) pairs in increasing order.
+def goal_span(x: float, y: float, k: float, s: float, eps: float):
+    """First entry into and last exit from the goal region: the arc lengths
+    (lo, hi) within [0, s] where the arc of curvature k, from the body-frame
+    origin heading +x, first and last lies within eps of the point (x, y), or
+    None when it never does. An arc that wraps its circle can leave and
+    re-enter the region in between; the cost does not grow with the turns.
     """
     if k == 0.0:
         h2 = eps * eps - y * y
         if h2 < 0.0:
-            return []
+            return None
         h = math.sqrt(h2)
         lo, hi = max(0.0, x - h), min(s, x + h)
-        return [(lo, hi)] if lo <= hi else []
+        return (lo, hi) if lo <= hi else None
     # The arc is the circle of radius 1/|k| about (0, 1/k). With w = |k| d, d
     # the distance from (x, y) to that center, delta = d - 1/|k| is the
     # signed distance of the point from the circle, computed without the
@@ -127,23 +128,23 @@ def goal_intervals(x: float, y: float, k: float, s: float, eps: float):
     delta = (ak * (x * x + y * y) - 2.0 * y * sgn) / (w + 1.0)
     h2 = eps * eps - delta * delta
     if h2 < 0.0:
-        return []
-    # Inside the disk iff the turn angle |k| sigma is within alpha of beta,
-    # the angle of closest approach (law of cosines about the center).
+        return None
+    # Inside the disk iff the turn angle |k| sigma is within alpha of
+    # beta + 2 pi n, beta the angle of closest approach (law of cosines about
+    # the center), for some whole number of turns n.
     half = ak * math.sqrt(h2) / (2.0 * math.sqrt(w)) if w > 0.0 else math.inf
     if half >= 1.0:
-        return [(0.0, s)]
+        return (0.0, s)
     alpha = 2.0 * math.asin(half)
     beta = math.atan2(ak * x, 1.0 - k * y)
     u_max = ak * s
-    out = []
-    centre = beta
-    while centre - alpha <= u_max:
-        lo, hi = max(0.0, centre - alpha), centre + alpha
-        if hi >= 0.0:
-            out.append((min(s, lo / ak), s if hi >= u_max else hi / ak))
-        centre += 2.0 * math.pi
-    return out
+    turn = 2.0 * math.pi
+    first = beta if beta + alpha >= 0.0 else beta + turn
+    enter = first - alpha
+    if enter > u_max:
+        return None
+    hi = first + math.floor((u_max - enter) / turn) * turn + alpha
+    return min(s, max(0.0, enter) / ak), s if hi >= u_max else hi / ak
 
 
 def actuated(k_cmd: float, a_cmd: float, dist: Disturbance):

@@ -1,19 +1,21 @@
-"""Monitored episode loop and metrics.
+"""Monitored episode loop and metrics over one compiled ``PlanGraph``;
+``waynet simulate`` builds each course once and passes it in.
 
 One cycle: sense pose -> extract active target -> controller proposes
 (waypoint, curvature, acceleration) -> controller monitor gates the proposal
 (fallback braking on rejection, reusing the last monitored target) ->
 move along the exact arc for a jittered duration <= T -> plant monitor checks
 the sensed state against the in-force target (fallback next cycle on
-failure) -> record.
+failure) -> record. The plant monitor's body-frame view of the in-force
+target is the next cycle's input to target extraction.
 
 Safety accounting follows the goal-region contract: a cycle is a safety
 violation when the vehicle is inside the goal region (Euclidean distance
-<= tol) above the upper speed limit at any point of its arc; the goal-region
-intervals of the arc are computed exactly, not sampled. Goal entries below
-the lower limit are tracked separately (below_vl_at_goal): sustained
-fallback braking legitimately sheds speed, and those events are recorded
-without being classified as violations.
+<= tol) above the upper speed limit at any point of its arc; the arc's first
+entry into and last exit from the goal region are computed exactly, not
+sampled. Goal entries below the lower limit are tracked separately
+(below_vl_at_goal): sustained fallback braking legitimately sheds speed, and
+those events are recorded without being classified as violations.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from waynet.core import Params, RelWaypoint
-from waynet.dynamics import (Disturbance, RelPoint, actuated, arc_step, goal_intervals,
+from waynet.dynamics import (Disturbance, RelPoint, actuated, arc_step, goal_span,
                              to_relative)
 from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
 from waynet.monitor import (PASS, Clause, MonitorVerdict, controller_monitor,
@@ -33,9 +35,9 @@ from waynet.controllers import (PdGains, bang_bang, choose_accel, cross_track_er
 from waynet.plan import (ActiveTarget, DeadEnd, PlanGraph, deterministic_first,
                          gen_environment, initial_state, next_target, seeded_random,
                          target_for_edge)
+from waynet.plan import DEFAULT_SCALES  # re-exported: each built-in course's scale (m)
 
 DEFAULT_PARAMS = Params(accel_max=3.0, brake_max=3.0, cycle_max=0.5, tol=1.0)
-DEFAULT_SCALES = {"rect": 40.0, "turns": 20.0, "clover": 200.0}
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ CONTROLLERS = tuple(PROFILES)
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    environment: str | None = "rect"     # built-in course name, or None with a plan
+    environment: str | None = "rect"     # course label; builds the course when plan is None
     plan: PlanGraph | None = None
     controller: str = "pd1"
     params: Params = DEFAULT_PARAMS
@@ -74,7 +76,6 @@ class EpisodeConfig:
     seed: int = 0
     interval_mode: bool = False
     monitoring: bool = True              # diagnostic: False disables enforcement
-    env_scale: float | None = None
     branch: str = "first"                # "first" | "random"
     collect_log: bool = True
 
@@ -90,10 +91,7 @@ class EpisodeConfig:
             raise ValueError(f"branch must be 'first' or 'random', got {self.branch!r}")
 
     def resolve_plan(self) -> PlanGraph:
-        if self.plan is not None:
-            return self.plan
-        scale = self.env_scale or DEFAULT_SCALES.get(self.environment, 40.0)
-        return gen_environment(self.environment, scale)
+        return self.plan or gen_environment(self.environment)
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,7 @@ def run_episode(cfg: EpisodeConfig):
         else deterministic_first
 
     pose, edge0 = initial_state(graph, policy)
-    v = graph.nodes[graph.edges[edge0].to].vl  # start inside the first limits
+    v = graph.segments[edge0].b.vl  # start inside the first limits
     target = target_for_edge(graph, edge0, pose, p,
                              lookahead=_lookahead(v, None, p))
 
@@ -231,7 +229,7 @@ def run_episode(cfg: EpisodeConfig):
     while cycles < cfg.max_cycles:
         if cycles > 0:
             try:
-                target = next_target(graph, target, pose, p, policy,
+                target = next_target(graph, target, pose, rel2, p, policy,
                                      reached_hint=reached_hint,
                                      lookahead=_lookahead(v, target, p),
                                      overshoot=v * p.cycle_max)
@@ -275,26 +273,25 @@ def run_episode(cfg: EpisodeConfig):
             a_cmd = a_prop
             k_cmd = k_steer
 
-        # Exact physics for a jittered duration <= T, with exact goal-region
-        # events along the arc (wp_seg is the in-force target in the body
-        # frame at cycle start). Speed is monotone within a cycle, so each
-        # event interval's extreme speeds sit at its endpoints.
+        # Exact physics for a jittered duration <= T, with the exact first
+        # entry into and last exit from the goal region along the arc (wp_seg
+        # is the in-force target in the body frame at cycle start). Speed is
+        # monotone within a cycle, so its extremes in the goal region sit at
+        # those two points.
         dt = T * (1.0 - cfg.disturbance.cycle_jitter * rng.random())
         k_act, a_act = actuated(k_cmd, a_cmd, cfg.disturbance)
         new_pose, vv, s = arc_step(pose, v, k_act, a_act, dt)
         distance += s
-        cycle_violation = False
-        cycle_below_vl = False
-        for lo, hi in goal_intervals(wp_seg.x, wp_seg.y, k_act, s, eps):
+        cycle_violation = cycle_below_vl = False
+        span = goal_span(wp_seg.x, wp_seg.y, k_act, s, eps)
+        if span is not None:
             reached_hint = True
-            speeds = [math.sqrt(max(0.0, v * v + 2.0 * a_act * sigma)) for sigma in (lo, hi)]
-            if max(speeds) > inforce_vh:
-                cycle_violation = True
-            if min(speeds) < inforce_vl:
-                cycle_below_vl = True
+            speeds = [math.sqrt(max(0.0, v * v + 2.0 * a_act * sigma)) for sigma in span]
+            cycle_violation = max(speeds) > inforce_vh
+            cycle_below_vl = min(speeds) < inforce_vl
         elapsed_total += dt
 
-        # Plant monitor against the in-force target.
+        # Plant monitor against the in-force target; next_target reuses rel2.
         rel2 = to_relative(new_pose, inforce_world)
         wp2 = RelWaypoint(rel2.x, rel2.y, inforce_k, inforce_vl, inforce_vh)
         plant_verdict = plant_monitor(wp2, vv, dt, p)

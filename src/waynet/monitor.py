@@ -3,9 +3,9 @@ invariant, controller/plant monitors, the braking fallback, and the 1D toy monit
 
 All comparisons follow the model formulas exactly: the annulus band is
 strict <, the distance clauses are non-strict <=. Clause evaluation order is
-fixed so failure attribution is deterministic. An optional ``slack`` relaxes
-every comparison by an absolute margin; it exists for the numeric
-invariant-preservation checks and defaults to zero.
+fixed so failure attribution is deterministic. The invariant takes an
+optional ``slack`` that relaxes each of its comparisons by an absolute margin;
+it exists for the numeric invariant-preservation checks and defaults to zero.
 
 The controller monitor is written once, over any numbers with the arithmetic
 and ordering operators: ``waynet.intervals`` evaluates it over intervals,
@@ -78,11 +78,6 @@ def ann_clause(wp: RelWaypoint, eps: float, slack: float = 0.0) -> Clause:
     return Clause.NONE
 
 
-def ann(wp: RelWaypoint, eps: float) -> bool:
-    """True iff the waypoint lies within the annular section of half-width eps."""
-    return ann_clause(wp, eps) is Clause.NONE
-
-
 def feas(wp: RelWaypoint, p: Params) -> MonitorVerdict:
     """Physical feasibility of the declared (waypoint, curvature, limits)."""
     c = ann_clause(wp, p.tol)
@@ -117,16 +112,15 @@ def lim(v1: float, v2: float, acc: float, wp: RelWaypoint, eps: float,
     return delta_lim(v1, v2, acc, wp.k, eps) + eps <= inf_norm(wp.x, wp.y) + slack
 
 
-def _go_branch(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool,
-               slack: float) -> bool:
+def _go_branch(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool) -> bool:
     T = p.cycle_max
     v_end = v + a * T
     undecided = False
     try:
         if upper:
-            if v <= wp.vh + slack and v_end <= wp.vh + slack:
+            if v <= wp.vh and v_end <= wp.vh:
                 return True
-        elif wp.vl <= v + slack and wp.vl <= v_end + slack:
+        elif wp.vl <= v and wp.vl <= v_end:
             return True
     except Undecided:
         undecided = True  # the distance disjunct below may still decide
@@ -136,7 +130,7 @@ def _go_branch(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool,
         gap_term = (wp.vl * wp.vl - v_end * v_end) / (2 * p.accel_max)
     bloat = 1.0 + abs(wp.k) * p.tol
     need = bloat * bloat * (v * T + a * T * T / 2.0 + gap_term) + p.tol
-    if need <= inf_norm(wp.x, wp.y) + slack:
+    if need <= inf_norm(wp.x, wp.y):
         return True
     if undecided:
         raise Undecided
@@ -150,9 +144,9 @@ def go(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
         return _fail(Clause.ACCEL_RANGE)
     if not v + a * p.cycle_max >= 0.0:
         return _fail(Clause.NON_NEG_SPEED)
-    if not _go_branch(wp, v, a, p, upper=True, slack=0.0):
+    if not _go_branch(wp, v, a, p, upper=True):
         return _fail(Clause.UPPER_SPEED)
-    if not _go_branch(wp, v, a, p, upper=False, slack=0.0):
+    if not _go_branch(wp, v, a, p, upper=False):
         return _fail(Clause.LOWER_SPEED)
     return PASS
 

@@ -1,6 +1,8 @@
 """Mission plans: waypoint graphs of line/arc segments with per-node speed
 limits, a line-oriented text format, per-cycle extraction of the active
-body-frame waypoint, and the built-in benchmark environments.
+body-frame waypoint, and the built-in benchmark environments. A
+``PlanGraph`` compiles itself once, on construction, into one ``Segment`` per
+edge and a successor table; target extraction reads only these.
 
 Plan format ('#' starts a comment, whitespace-separated tokens)::
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from waynet.core import Params, RelWaypoint, WorldPose, euclid_norm
 from waynet.dynamics import RelPoint, to_relative
@@ -64,13 +66,31 @@ class Edge:
 
 @dataclass(frozen=True)
 class PlanGraph:
+    """A plan, validated and compiled once on construction: ``segments[i]``
+    is ``edges[i]``'s geometry, and a table holds each node's successors."""
+
     nodes: dict[str, Node]
     edges: tuple[Edge, ...]
     start: str
     terminals: frozenset[str]
+    segments: tuple[Segment, ...] = field(init=False, repr=False, compare=False)
+    _successors: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
-    def successors(self, node_id: str) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.frm == node_id]
+    def __post_init__(self):
+        self.validate()
+        segments = []
+        successors: dict[str, list[int]] = {}
+        for i, e in enumerate(self.edges):
+            a, b = self.nodes[e.frm], self.nodes[e.to]
+            geom = arc_geometry(a.x, a.y, b.x, b.y, e.k) if e.kind == "arc" else None
+            segments.append(Segment(a, b, e.k if geom is not None else 0.0, geom))
+            successors.setdefault(e.frm, []).append(i)
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "_successors",
+                           {n: tuple(ids) for n, ids in successors.items()})
+
+    def successors(self, node_id: str) -> tuple[int, ...]:
+        return self._successors.get(node_id, ())
 
     def validate(self) -> None:
         if self.start not in self.nodes:
@@ -97,6 +117,8 @@ class PlanGraph:
                 a, b = self.nodes[e.frm], self.nodes[e.to]
                 radius = 1.0 / abs(e.k)
                 chord = math.hypot(b.x - a.x, b.y - a.y)
+                if chord == 0.0:
+                    raise PlanError(f"arc edge {e.frm!r}->{e.to!r}: endpoints coincide")
                 if chord > 2.0 * radius * (1.0 + CO_CIRCULAR_RTOL):
                     raise PlanError(
                         f"arc edge {e.frm!r}->{e.to!r}: endpoints {chord:g} m apart do not "
@@ -149,10 +171,8 @@ def parse_plan(text: str) -> PlanGraph:
 
     if start is None:
         raise PlanError("missing start directive")
-    graph = PlanGraph(nodes=nodes, edges=tuple(edges), start=start,
-                      terminals=frozenset(terminals))
-    graph.validate()
-    return graph
+    return PlanGraph(nodes=nodes, edges=tuple(edges), start=start,
+                     terminals=frozenset(terminals))
 
 
 def serialize(graph: PlanGraph) -> str:
@@ -215,6 +235,47 @@ def arc_heading(geom: ArcGeometry, frac: float) -> float:
     return theta + math.copysign(math.pi / 2.0, geom.sweep)
 
 
+@dataclass(frozen=True)
+class Segment:
+    """One compiled plan edge: its end nodes, its signed curvature (0 for
+    lines) and, for arcs, the arc's geometry."""
+
+    a: Node
+    b: Node
+    k: float
+    geom: ArcGeometry | None
+
+    def point(self, frac: float):
+        """World point at fraction frac in [0, 1] along the segment."""
+        if self.geom is None:
+            a, b = self.a, self.b
+            return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
+        return arc_point(self.geom, frac)
+
+    def fraction(self, pose: WorldPose) -> float:
+        """Fraction of the robot's projection onto the segment, clamped to
+        [0, 1]; angular along arcs."""
+        geom = self.geom
+        if geom is None:
+            a, b = self.a, self.b
+            ux, uy = b.x - a.x, b.y - a.y
+            L2 = ux * ux + uy * uy
+            if L2 == 0.0:
+                return 1.0
+            t = ((pose.x - a.x) * ux + (pose.y - a.y) * uy) / L2
+            return min(1.0, max(0.0, t))
+        theta = math.atan2(pose.y - geom.cy, pose.x - geom.cx)
+        if geom.sweep == 0.0:
+            return 1.0
+        delta = theta - geom.theta0
+        # Bring the offset into the turn direction's principal range.
+        delta = math.remainder(delta, 2.0 * math.pi)
+        frac = delta / geom.sweep
+        if frac < 0.0:
+            return 0.0
+        return min(1.0, frac)
+
+
 # ---------------------------------------------------------------------------
 # Active target extraction
 
@@ -239,56 +300,17 @@ class ActiveTarget:
     advanced: bool = False      # progress flag: a node was reached this cycle
 
 
-def deterministic_first(node_id: str, choices: list[int]) -> int:
+def deterministic_first(node_id: str, choices: tuple[int, ...]) -> int:
     return choices[0]
 
 
 def seeded_random(seed: int):
     rng = random.Random(seed)
 
-    def policy(node_id: str, choices: list[int]) -> int:
+    def policy(node_id: str, choices: tuple[int, ...]) -> int:
         return rng.choice(choices)
 
     return policy
-
-
-def _edge_frame(graph: PlanGraph, edge: Edge):
-    a = graph.nodes[edge.frm]
-    b = graph.nodes[edge.to]
-    geom = arc_geometry(a.x, a.y, b.x, b.y, edge.k) if edge.kind == "arc" else None
-    return a, b, geom
-
-
-def _line_fraction(a: Node, b: Node, pose: WorldPose) -> float:
-    """Fraction of the robot's projection onto segment a->b, clamped to [0, 1]."""
-    ux, uy = b.x - a.x, b.y - a.y
-    L2 = ux * ux + uy * uy
-    if L2 == 0.0:
-        return 1.0
-    t = ((pose.x - a.x) * ux + (pose.y - a.y) * uy) / L2
-    return min(1.0, max(0.0, t))
-
-
-def _arc_fraction(geom: ArcGeometry, pose: WorldPose) -> float:
-    """Angular fraction of the robot's projection onto the arc, clamped to [0, 1]."""
-    theta = math.atan2(pose.y - geom.cy, pose.x - geom.cx)
-    if geom.sweep == 0.0:
-        return 1.0
-    delta = theta - geom.theta0
-    # Bring the offset into the turn direction's principal range.
-    delta = math.remainder(delta, 2.0 * math.pi)
-    frac = delta / geom.sweep
-    if frac < 0.0:
-        return 0.0
-    return min(1.0, frac)
-
-
-def segment_point(graph: PlanGraph, edge_index: int, frac: float):
-    edge = graph.edges[edge_index]
-    a, b, geom = _edge_frame(graph, edge)
-    if geom is None:
-        return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
-    return arc_point(geom, frac)
 
 
 def initial_state(graph: PlanGraph, branch_policy=deterministic_first):
@@ -298,115 +320,97 @@ def initial_state(graph: PlanGraph, branch_policy=deterministic_first):
     if not choices:
         raise PlanError(f"start node {graph.start!r} has no outgoing edges")
     edge_index = branch_policy(graph.start, choices)
-    edge = graph.edges[edge_index]
-    a, b, geom = _edge_frame(graph, edge)
-    if geom is None:
-        heading = math.atan2(b.y - a.y, b.x - a.x)
-    else:
-        heading = arc_heading(geom, 0.0)
+    seg = graph.segments[edge_index]
+    a, b = seg.a, seg.b
+    heading = math.atan2(b.y - a.y, b.x - a.x) if seg.geom is None else arc_heading(seg.geom, 0.0)
     return WorldPose(a.x, a.y, heading), edge_index
 
 
-def _target_candidate(graph: PlanGraph, edge_index: int, pose: WorldPose,
-                      eps: float, lookahead: float | None = None
-                      ) -> tuple[tuple[float, float], float]:
+def _target_candidate(seg: Segment, pose: WorldPose, lookahead: float | None = None):
     """Pick the target point on a segment: the end node, capped to at most
     ``lookahead`` meters of path ahead of the robot's projection (arcs are
     additionally capped at 90 degrees of remaining sweep), and pushed ahead of
-    the robot (x > 0) when it has drifted past."""
-    edge = graph.edges[edge_index]
-    a, b, geom = _edge_frame(graph, edge)
-
+    the robot (x > 0) when it has drifted past. Returns (target, frac, rel)
+    with rel the target in the body frame."""
+    here = seg.fraction(pose)
+    geom = seg.geom
     if geom is not None:
-        here = _arc_fraction(geom, pose)
         max_sweep = math.pi / 2.0
         if lookahead is not None:
             max_sweep = min(max_sweep, lookahead / geom.radius)
         frac = min(1.0, here + max_sweep / abs(geom.sweep))
-        target = arc_point(geom, frac)
+        target = seg.point(frac)
         rel = to_relative(pose, target)
         if rel.x <= 0.0 and frac > here:
             # Drifted past the capped target: re-aim at half the cap ahead.
             frac = min(1.0, here + max_sweep / 2.0 / abs(geom.sweep))
-            target = arc_point(geom, frac)
+            target = seg.point(frac)
             rel = to_relative(pose, target)
-        if rel.x <= 0.0:
-            frac, target = _scan_ahead(graph, edge_index, here, pose)
-        return target, frac
-
-    here = _line_fraction(a, b, pose)
-    length = math.hypot(b.x - a.x, b.y - a.y)
-    frac = 1.0
-    if lookahead is not None and length > 0.0:
-        frac = min(1.0, here + lookahead / length)
-    target = segment_point(graph, edge_index, frac)
-    rel = to_relative(pose, target)
+    else:
+        length = math.hypot(seg.b.x - seg.a.x, seg.b.y - seg.a.y)
+        frac = 1.0
+        if lookahead is not None and length > 0.0:
+            frac = min(1.0, here + lookahead / length)
+        target = seg.point(frac)
+        rel = to_relative(pose, target)
     if rel.x <= 0.0:
-        frac, target = _scan_ahead(graph, edge_index, here, pose)
-    return target, frac
-
-
-def _scan_ahead(graph: PlanGraph, edge_index: int, here: float, pose: WorldPose):
-    """Fallback synthetic target: first sample ahead on the segment with x > 0."""
-    for step in range(1, 17):
-        frac = here + (1.0 - here) * step / 16.0
-        target = segment_point(graph, edge_index, frac)
-        if to_relative(pose, target).x > 0.0:
-            return frac, target
-    return 1.0, segment_point(graph, edge_index, 1.0)
+        # Synthetic target: the first of 16 samples ahead on the segment with
+        # x > 0, else the end node.
+        for step in range(1, 17):
+            frac = here + (1.0 - here) * step / 16.0
+            target = seg.point(frac)
+            rel = to_relative(pose, target)
+            if rel.x > 0.0:
+                break
+        else:
+            frac, target = 1.0, seg.point(1.0)
+            rel = to_relative(pose, target)
+    return target, frac, rel
 
 
 def target_for_edge(graph: PlanGraph, edge_index: int, pose: WorldPose,
                     p: Params, advanced: bool = False,
                     lookahead: float | None = None) -> ActiveTarget:
     """Body-frame active target for a segment from the current pose."""
-    edge = graph.edges[edge_index]
-    target, frac = _target_candidate(graph, edge_index, pose, p.tol, lookahead)
-    rel = to_relative(pose, target)
-    end_node = graph.nodes[edge.to]
-    k_seg = edge.k if edge.kind == "arc" else 0.0
-    wp = RelWaypoint(rel.x, rel.y, k_seg, end_node.vl, end_node.vh)
+    seg = graph.segments[edge_index]
+    target, frac, rel = _target_candidate(seg, pose, lookahead)
+    wp = RelWaypoint(rel.x, rel.y, seg.k, seg.b.vl, seg.b.vh)
     return ActiveTarget(edge_index=edge_index, target_world=target, frac=frac,
                         waypoint=wp, advanced=advanced)
 
 
-def next_target(graph: PlanGraph, current: ActiveTarget | None, pose: WorldPose,
-                p: Params, branch_policy=deterministic_first,
+def next_target(graph: PlanGraph, current: ActiveTarget, pose: WorldPose,
+                rel: RelPoint, p: Params, branch_policy=deterministic_first,
                 reached_hint: bool = False,
                 lookahead: float | None = None,
                 overshoot: float = 0.0) -> ActiveTarget:
     """Advance or keep the active target and recompute its body-frame view.
 
+    ``rel`` is ``current.target_world`` in the body frame of ``pose``; the
+    harness has it from the plant monitor's check of the in-force target.
     ``reached_hint`` marks that the vehicle's arc passed through the target's
     goal region between cycle boundaries.
     Raises DeadEnd when the segment's end node is reached and is a terminal
     (completed) or has no successors (stuck).
     """
+    edge_index = current.edge_index
     advanced = False
-    if current is None:
-        choices = graph.successors(graph.start)
+    dist = euclid_norm(rel.x, rel.y)
+    reached = reached_hint or dist <= p.tol
+    # frac accumulates sub-ulp rounding; treat within 1e-9 of 1 as the end.
+    at_end = current.frac >= 1.0 - 1e-9
+    slop = max(3.0 * p.tol, overshoot)
+    if at_end and rel.x <= 0.0 and dist <= slop:
+        reached = True  # narrowly overshot the end node; advance, not stall
+    if reached and at_end:
+        node = graph.edges[edge_index].to
+        if node in graph.terminals:
+            raise DeadEnd(node, True)
+        choices = graph.successors(node)
         if not choices:
-            raise DeadEnd(graph.start, graph.start in graph.terminals)
-        edge_index = branch_policy(graph.start, choices)
-    else:
-        edge_index = current.edge_index
-        rel = to_relative(pose, current.target_world)
-        dist = euclid_norm(rel.x, rel.y)
-        reached = reached_hint or dist <= p.tol
-        # frac accumulates sub-ulp rounding; treat within 1e-9 of 1 as the end.
-        at_end = current.frac >= 1.0 - 1e-9
-        slop = max(3.0 * p.tol, overshoot)
-        if at_end and rel.x <= 0.0 and dist <= slop:
-            reached = True  # narrowly overshot the end node; advance, not stall
-        if reached and at_end:
-            node = graph.edges[edge_index].to
-            if node in graph.terminals:
-                raise DeadEnd(node, True)
-            choices = graph.successors(node)
-            if not choices:
-                raise DeadEnd(node, False)
-            edge_index = branch_policy(node, choices)
-            advanced = True
+            raise DeadEnd(node, False)
+        edge_index = branch_policy(node, choices)
+        advanced = True
 
     return target_for_edge(graph, edge_index, pose, p, advanced, lookahead)
 
@@ -450,10 +454,8 @@ def _rounded_polygon(n_sides: int, straight: float, corner_radius: float,
         edges.append(Edge(prev, nid, "arc", k))
         prev = nid
 
-    graph = PlanGraph(nodes=nodes, edges=tuple(edges), start=first,
-                      terminals=frozenset({first}))
-    graph.validate()
-    return graph
+    return PlanGraph(nodes=nodes, edges=tuple(edges), start=first,
+                     terminals=frozenset({first}))
 
 
 ENVIRONMENTS = ("rect", "turns", "clover")
@@ -463,15 +465,20 @@ _DEFAULT_SPEEDS = {
     "turns": (0.5, 3.0),    # tight turns at low speed
     "clover": (22.0, 35.0), # wide curves at high speed
 }
+DEFAULT_SCALES = {"rect": 40.0, "turns": 20.0, "clover": 200.0}
 
 
-def gen_environment(name: str, scale: float, speed: tuple[float, float] | None = None) -> PlanGraph:
-    """Built-in closed-loop benchmark course. The start node doubles as the
-    terminal, so an episode is one lap."""
-    if scale <= 0.0:
-        raise PlanError(f"scale must be positive, got {scale!r}")
+def gen_environment(name: str, scale: float | None = None,
+                    speed: tuple[float, float] | None = None) -> PlanGraph:
+    """Built-in closed-loop benchmark course, at its default scale (m) unless
+    one is given. The start node doubles as the terminal, so an episode is one
+    lap."""
     if name not in ENVIRONMENTS:
         raise PlanError(f"unknown environment {name!r} (choose from {ENVIRONMENTS})")
+    if scale is None:
+        scale = DEFAULT_SCALES[name]
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise PlanError(f"scale must be positive and finite, got {scale!r}")
     vl, vh = speed if speed is not None else _DEFAULT_SPEEDS[name]
     if name == "rect":
         # 4 straights + 4 quarter-arc corners of radius scale/4.

@@ -138,13 +138,19 @@ def test_criterion_4_progress_strict_decrease():
 # -- 5. Dynamics fidelity ------------------------------------------------------
 
 def test_criterion_5_radius_conservation():
-    k = 0.5
+    # The runtime flow, stepped 10,000 times: in the world frame the vehicle
+    # stays on its circle about (0, 1/k); in the body frame a fixed point
+    # stays at its distance from the rotation center (0, 1/k).
+    k, dt = 0.5, 0.025
     cy = 1.0 / k
-    pt = RelPoint(3.0, -1.0)
-    r0 = math.hypot(pt.x, pt.y - cy)
-    v = 2.0
+    pose, v = WorldPose(0.0, 0.0, 0.0), 2.0
     for _ in range(10_000):
-        pt, v = step_relative(pt, v, 0.0, k, 0.025, substeps=1)
+        pose, v, _ = arc_step(pose, v, k, 0.0, dt)
+    assert abs(math.hypot(pose.x, pose.y - cy) - cy) / cy <= 1e-6
+    pt, v = RelPoint(3.0, -1.0), 2.0
+    r0 = math.hypot(pt.x, pt.y - cy)
+    for _ in range(10_000):
+        pt, v = closed_form_relative(pt, v, 0.0, k, dt)
     assert abs(math.hypot(pt.x, pt.y - cy) - r0) / r0 <= 1e-6
 
 

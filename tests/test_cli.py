@@ -124,6 +124,25 @@ def test_simulate_with_plan_file(tmp_path, capsys):
     assert "course" in out
 
 
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["simulate", "--episodes", "1"], ["gen-env", "rect"]])
+def test_bad_scale_exits_2(capsys, command, scale):
+    code, out, err = run(capsys, *command, "--scale", scale)
+    assert code == 2
+    assert "scale" in err
+
+
+@pytest.mark.parametrize("name", ["rect", "turns", "clover"])
+def test_gen_env_plan_is_the_simulated_course(tmp_path, capsys, name):
+    plan = tmp_path / f"{name}.plan"
+    assert run(capsys, "gen-env", name, "--out", str(plan))[0] == 0
+    common = ("--controller", "pd1", "--episodes", "2", "--seed", "3")
+    run(capsys, "simulate", "--env", name, *common, "--out", str(tmp_path / "env"))
+    run(capsys, "simulate", "--plan", str(plan), *common, "--out", str(tmp_path / "plan"))
+    assert (tmp_path / "env" / "summary.csv").read_bytes() == \
+        (tmp_path / "plan" / "summary.csv").read_bytes()
+
+
 def test_monitor_eval_on_produced_log(tmp_path, capsys):
     run(capsys, "simulate", "--env", "rect", "--controller", "liveness",
         "--episodes", "1", "--out", str(tmp_path))

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from waynet.core import (Params, VehicleState, WorldPose, euclid_norm, inf_norm,
+from waynet.core import (Params, WorldPose, euclid_norm, inf_norm,
                          normalize_angle)
 
 
@@ -36,14 +36,6 @@ def test_params_rejects_non_positive(field, bad):
     kwargs[field] = bad
     with pytest.raises(ValueError):
         Params(**kwargs)
-
-
-def test_vehicle_state_validation():
-    VehicleState(v=0.0, a=-1.0, t=0.0)
-    with pytest.raises(ValueError):
-        VehicleState(v=-0.1, a=0.0, t=0.0)
-    with pytest.raises(ValueError):
-        VehicleState(v=1.0, a=0.0, t=-0.5)
 
 
 def test_normalize_angle_range():

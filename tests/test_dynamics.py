@@ -1,12 +1,13 @@
 import math
 import random
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from waynet.core import WorldPose
 from waynet.dynamics import (Disturbance, RelPoint, actuated, arc_step,
-                             closed_form_relative, from_relative, goal_intervals,
+                             closed_form_relative, from_relative, goal_span,
                              to_relative)
 
 from rk4 import plant_derivative, step_relative
@@ -135,48 +136,59 @@ class TestGoalIntervals:
            at=st.floats(0.0, 1.0),
            r=st.floats(0.0, 1.5),
            theta=st.floats(-math.pi, math.pi))
+    # The arc meets the disk only at its last point.
+    @example(k=1e-7, s=10.0, eps=1.0, at=1.0, r=1.0, theta=0.0)
     def test_matches_dense_sampling(self, k, s, eps, at, r, theta):
         # Put the target near a point of the arc so that most cases meet the
         # disk; |k| = 2 over up to 60 m wraps the circle many times.
         near, _, _ = arc_step(WorldPose(0.0, 0.0, 0.0), 1.0, k, 0.0, at * s)
         x, y = near.x + r * eps * math.cos(theta), near.y + r * eps * math.sin(theta)
-        spans = goal_intervals(x, y, k, s, eps)
+        span = goal_span(x, y, k, s, eps)
         tol = 1e-9
-        prev = -math.inf
-        for lo, hi in spans:
-            assert prev < lo <= hi <= s and lo >= 0.0
-            prev = hi
-            for sigma in (lo, (lo + hi) / 2.0, hi):
+        if span is not None:
+            lo, hi = span
+            assert 0.0 <= lo <= hi <= s
+            # The span starts at an entry and ends at an exit (or at the arc's ends).
+            for sigma in (lo, hi):
                 assert _arc_distance(x, y, k, sigma) <= eps + tol
             if lo > 0.0:
                 assert _arc_distance(x, y, k, lo) >= eps - tol
             if hi < s:
                 assert _arc_distance(x, y, k, hi) >= eps - tol
         n = 4000
-        for i in range(n + 1):
-            sigma = min(s, s * i / n)
-            d = _arc_distance(x, y, k, sigma)
-            inside = any(lo <= sigma <= hi for lo, hi in spans)
-            if d < eps - tol:
-                assert inside, (sigma, d)
-            elif d > eps + tol:
-                assert not inside, (sigma, d)
+        inside = [sigma for sigma in (min(s, s * i / n) for i in range(n + 1))
+                  if _arc_distance(x, y, k, sigma) < eps - tol]
+        if inside:
+            # The first and last samples inside the region lie within the span.
+            assert span is not None, inside[0]
+            assert lo <= inside[0] and inside[-1] <= hi, (inside[0], inside[-1], span)
 
     def test_grazing_pass_between_substeps(self):
         # 35 m/s for a 0.5 s cycle; the chord through the disk is 0.089 m long
         # and lies between two of the 20 equally spaced points of the arc.
         eps, s = 1.0, 17.5
         x, y = 0.4375, 0.999 * eps
-        (lo, hi), = goal_intervals(x, y, 0.0, s, eps)
+        lo, hi = goal_span(x, y, 0.0, s, eps)
         assert lo < x < hi
         assert not any(lo <= s * i / 20 <= hi for i in range(21))
 
     def test_whole_arc_inside(self):
-        assert goal_intervals(0.0, 0.5, 2.0, 100.0, 1.0) == [(0.0, 100.0)]
+        assert goal_span(0.0, 0.5, 2.0, 100.0, 1.0) == (0.0, 100.0)
 
     def test_miss(self):
-        assert goal_intervals(5.0, 3.0, 0.0, 10.0, 1.0) == []
-        assert goal_intervals(5.0, 3.0, 0.1, 10.0, 1.0) == []
+        assert goal_span(5.0, 3.0, 0.0, 10.0, 1.0) is None
+        assert goal_span(5.0, 3.0, 0.1, 10.0, 1.0) is None
+
+    def test_many_turns_in_constant_time(self):
+        # Spinning in place (k = 1e5 1/m) for one 35 m/s cycle with the target
+        # on the edge of the goal disk: the arc wraps its circle ~278,000
+        # times and is inside the disk on about half of each turn.
+        start = time.perf_counter()
+        lo, hi = goal_span(1.0, 0.0, 1e5, 17.5, 1.0)
+        assert time.perf_counter() - start < 0.05
+        assert 0.0 <= lo < 1e-4 and 17.5 - 1e-4 < hi <= 17.5
+        for sigma in (lo, hi):
+            assert _arc_distance(1.0, 0.0, 1e5, sigma) <= 1.0 + 1e-9
 
 
 class TestFrames:

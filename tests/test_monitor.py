@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from waynet.core import Params, RelWaypoint
-from waynet.monitor import (Clause, MonitorVerdict, ann, ann_residual,
+from waynet.monitor import (Clause, MonitorVerdict, ann_clause, ann_residual,
                             controller_monitor, delta_lim, fallback_accel, feas,
                             go, invariant_j, lim, monitor_1d, plant_monitor,
                             simulate_1d, Toy1DState)
@@ -19,19 +19,19 @@ def wp(x, y, k, vl=1.0, vh=2.0):
 
 class TestAnn:
     def test_straight_ahead(self):
-        assert ann(wp(5.0, 0.0, 0.0), eps=1.0)
+        assert ann_clause(wp(5.0, 0.0, 0.0), eps=1.0) is Clause.NONE
 
     def test_curved_fig_waypoint(self):
         # residual |-0.4 * 14.25 / 2 + 3| = 0.15 < 1
         assert ann_residual(2.5, -3.0, -0.4, 1.0) == pytest.approx(0.15)
-        assert ann(wp(2.5, -3.0, -0.4), eps=1.0)
+        assert ann_clause(wp(2.5, -3.0, -0.4), eps=1.0) is Clause.NONE
 
     def test_straight_declaration_misses_offset_waypoint(self):
         assert ann_residual(2.5, -3.0, 0.0, 1.0) == pytest.approx(3.0)
-        assert not ann(wp(2.5, -3.0, 0.0), eps=1.0)
+        assert ann_clause(wp(2.5, -3.0, 0.0), eps=1.0) is Clause.ANN_BAND
 
     def test_scale_clause(self):
-        assert not ann(wp(1.0, 0.0, 1.5), eps=1.0)
+        assert ann_clause(wp(1.0, 0.0, 1.5), eps=1.0) is Clause.ANN_SCALE
 
 
 class TestFeas:

@@ -4,11 +4,11 @@ import pytest
 
 from waynet.core import Params, WorldPose
 from waynet.dynamics import RelPoint, to_relative
-from waynet.plan import (ActiveTarget, DeadEnd, ENVIRONMENTS, PlanError,
+from waynet.plan import (ActiveTarget, DEFAULT_SCALES, DeadEnd, ENVIRONMENTS, PlanError,
                          arc_geometry, arc_heading, arc_point, curvature_through,
                          deterministic_first, gen_environment, initial_state,
-                         next_target, parse_plan, seeded_random, segment_point,
-                         serialize, target_for_edge)
+                         next_target, parse_plan, seeded_random, serialize,
+                         target_for_edge)
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
 
@@ -87,6 +87,34 @@ class TestCurvatureThrough:
     def test_inside_goal_region_rejected(self):
         with pytest.raises(ValueError):
             curvature_through(RelPoint(0.3, 0.3), eps=1.0)
+
+
+class TestCompiledPlan:
+    def test_segments_follow_edges(self):
+        g = parse_plan(SIMPLE)
+        line, arc = g.segments
+        assert (line.a.id, line.b.id, line.k, line.geom) == ("a", "b", 0.0, None)
+        assert (arc.a.id, arc.b.id, arc.k) == ("b", "c", 0.5)
+        assert arc.geom == arc_geometry(10.0, 0.0, 12.0, 2.0, 0.5)
+        assert arc.point(1.0) == pytest.approx((12.0, 2.0), abs=1e-9)
+
+    def test_fraction_clamps_to_segment(self):
+        line, arc = parse_plan(SIMPLE).segments
+        assert line.fraction(WorldPose(2.5, 3.0, 0.0)) == 0.25
+        assert line.fraction(WorldPose(-4.0, 0.0, 0.0)) == 0.0
+        assert line.fraction(WorldPose(14.0, 0.0, 0.0)) == 1.0
+        assert arc.fraction(WorldPose(*arc.point(0.5), 0.0)) == pytest.approx(0.5)
+
+    def test_successor_table(self):
+        g = parse_plan("node a 0 0 0 1\nnode b 5 0 0 1\nnode c 5 5 0 1\nstart a\n"
+                       "edge a b line\nedge b c line\nedge a c line\n")
+        assert g.successors("a") == (0, 2)
+        assert g.successors("b") == (1,)
+        assert g.successors("c") == ()
+
+    def test_coincident_arc_endpoints_rejected_at_parse(self):
+        with pytest.raises(PlanError, match="endpoints coincide"):
+            parse_plan("node a 1 1 0 1\nnode b 1 1 0 1\nstart a\nedge a b arc 0.5\n")
 
 
 class TestArcGeometry:
@@ -174,7 +202,7 @@ class TestTargets:
         pose, ei = initial_state(g)
         current = target_for_edge(g, ei, pose, P)
         near_b = WorldPose(9.8, 0.0, 0.0)
-        nxt = next_target(g, current, near_b, P)
+        nxt = next_target(g, current, near_b, to_relative(near_b, current.target_world), P)
         assert nxt.advanced
         assert nxt.edge_index == 1
 
@@ -182,7 +210,8 @@ class TestTargets:
         g = parse_plan(SIMPLE)
         pose, ei = initial_state(g)
         current = target_for_edge(g, ei, pose, P)
-        nxt = next_target(g, current, WorldPose(3.0, 0.0, 0.0), P)
+        pose = WorldPose(3.0, 0.0, 0.0)
+        nxt = next_target(g, current, pose, to_relative(pose, current.target_world), P)
         assert not nxt.advanced
         assert nxt.edge_index == 0
 
@@ -191,14 +220,16 @@ class TestTargets:
         current = target_for_edge(g, 0, WorldPose(9.0, 0.0, 0.0), P)
         # Past the end node, inside the overshoot slop, end node behind us.
         past = WorldPose(11.0, 0.0, 0.0)
-        nxt = next_target(g, current, past, P, overshoot=1.5)
+        nxt = next_target(g, current, past, to_relative(past, current.target_world), P,
+                          overshoot=1.5)
         assert nxt.advanced
 
     def test_terminal_raises_completed(self):
         g = parse_plan(SIMPLE)
         current = target_for_edge(g, 1, WorldPose(10.0, 0.0, 0.0), P)
         with pytest.raises(DeadEnd) as exc:
-            next_target(g, current, WorldPose(11.9, 1.9, math.pi / 2.0), P,
+            pose = WorldPose(11.9, 1.9, math.pi / 2.0)
+            next_target(g, current, pose, to_relative(pose, current.target_world), P,
                         reached_hint=True)
         assert exc.value.completed and exc.value.node == "c"
 
@@ -206,7 +237,8 @@ class TestTargets:
         g = parse_plan("node a 0 0 0 1\nnode b 5 0 0 1\nstart a\nedge a b line\n")
         current = target_for_edge(g, 0, WorldPose(0.0, 0.0, 0.0), P)
         with pytest.raises(DeadEnd) as exc:
-            next_target(g, current, WorldPose(4.9, 0.0, 0.0), P)
+            pose = WorldPose(4.9, 0.0, 0.0)
+            next_target(g, current, pose, to_relative(pose, current.target_world), P)
         assert not exc.value.completed
 
     def test_branch_policy_determinism(self):
@@ -223,7 +255,16 @@ class TestTargets:
 
     def test_segment_point_on_line(self):
         g = parse_plan(SIMPLE)
-        assert segment_point(g, 0, 0.25) == pytest.approx((2.5, 0.0))
+        assert g.segments[0].point(0.25) == pytest.approx((2.5, 0.0))
+
+    def test_target_body_frame_matches_world_target(self):
+        # The waypoint is the returned world target seen from the pose.
+        g = parse_plan(SIMPLE)
+        for edge_index, pose in ((0, WorldPose(5.0, 0.5, -2.0 * math.pi / 3.0)),
+                                 (1, WorldPose(10.5, 0.2, 0.3))):
+            t = target_for_edge(g, edge_index, pose, P, lookahead=1.0)
+            rel = to_relative(pose, t.target_world)
+            assert (t.waypoint.x, t.waypoint.y) == (rel.x, rel.y)
 
 
 class TestEnvironments:
@@ -258,8 +299,13 @@ class TestEnvironments:
     def test_validation_errors(self):
         with pytest.raises(PlanError):
             gen_environment("moebius", 10.0)
-        with pytest.raises(PlanError):
-            gen_environment("rect", 0.0)
+        for scale in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(PlanError, match="scale must be positive and finite"):
+                gen_environment("rect", scale)
+
+    def test_default_scale_is_the_courses_own(self):
+        for name in ENVIRONMENTS:
+            assert gen_environment(name) == gen_environment(name, DEFAULT_SCALES[name])
 
     def test_loop_closes(self):
         for name in ENVIRONMENTS:
