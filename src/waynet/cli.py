@@ -113,37 +113,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _controller_list(text: str) -> list[str]:
+def _name_list(text: str, choices: tuple[str, ...], kind: str, flag: str) -> list[str]:
+    """'all' or a comma-separated list of ``kind`` names from ``choices``."""
     if text == "all":
-        return list(CONTROLLERS)
+        return list(choices)
     names = [t.strip() for t in text.split(",") if t.strip()]
     for name in names:
-        if name not in CONTROLLERS:
-            raise ValueError(f"unknown controller {name!r} (choose from {CONTROLLERS})")
+        if name not in choices:
+            raise ValueError(f"unknown {kind} {name!r} (choose from {choices})")
     if not names:
-        raise ValueError("empty --controller list")
-    return names
-
-
-def _env_list(text: str) -> list[str]:
-    if text == "all":
-        return list(ENVIRONMENTS)
-    names = [t.strip() for t in text.split(",") if t.strip()]
-    for name in names:
-        if name not in ENVIRONMENTS:
-            raise ValueError(f"unknown environment {name!r} (choose from {ENVIRONMENTS})")
-    if not names:
-        raise ValueError("empty --env list")
+        raise ValueError(f"empty {flag} list")
     return names
 
 
 def _cmd_simulate(args) -> int:
     params = _params(args)
-    controllers = _controller_list(args.controller)
+    controllers = _name_list(args.controller, CONTROLLERS, "controller", "--controller")
     if args.plan is not None:
+        if args.scale is not None:
+            raise ValueError("--scale applies to built-in courses, not to a --plan file")
         plans = {args.plan.stem: parse_plan(args.plan.read_text())}
     else:
-        plans = {env: gen_environment(env, args.scale) for env in _env_list(args.env)}
+        envs = _name_list(args.env, ENVIRONMENTS, "environment", "--env")
+        plans = {env: gen_environment(env, args.scale) for env in envs}
 
     out_dir = args.out
     if out_dir is not None:

@@ -34,18 +34,12 @@ class PdGains:
             raise ValueError("curvature_max must be positive")
 
 
-def cross_track_error(rel: RelPoint, k: float, eps: float) -> float:
-    """Signed band residual e = k (x^2 + y^2 - eps^2)/2 - y; the annulus band
-    clause is |e| < eps."""
-    return ann_residual(rel.x, rel.y, k, eps)
-
-
 def bang_bang(rel: RelPoint, k_seg: float, eps: float, deadband: float,
               k_max: float) -> float:
     """Hard-left / hard-right steering around the declared segment curvature."""
     if not k_max > 0.0:
         raise ValueError("k_max must be positive")
-    e = cross_track_error(rel, k_seg, eps)
+    e = ann_residual(rel.x, rel.y, k_seg, eps)
     if abs(e) <= deadband:
         return k_seg
     return k_seg - math.copysign(k_max, e)
@@ -56,7 +50,7 @@ def pd(rel: RelPoint, prev_e: float, dt: float, k_seg: float, eps: float,
     """Proportional-derivative steering on the band residual, clamped."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    e = cross_track_error(rel, k_seg, eps)
+    e = ann_residual(rel.x, rel.y, k_seg, eps)
     cmd = k_seg - (g.kp * e + g.kd * (e - prev_e) / dt)
     return min(g.curvature_max, max(-g.curvature_max, cmd))
 

@@ -160,9 +160,3 @@ def to_relative(pose: WorldPose, world_pt) -> RelPoint:
     dy = world_pt[1] - pose.y
     c, s = math.cos(pose.heading), math.sin(pose.heading)
     return RelPoint(c * dx + s * dy, -s * dx + c * dy)
-
-
-def from_relative(pose: WorldPose, rel: RelPoint):
-    """Inverse of to_relative: body-frame point back to world coordinates."""
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
-    return (pose.x + c * rel.x - s * rel.y, pose.y + s * rel.x + c * rel.y)

@@ -28,13 +28,12 @@ from waynet.core import Params, RelWaypoint
 from waynet.dynamics import (Disturbance, RelPoint, actuated, arc_step, goal_span,
                              to_relative)
 from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
-from waynet.monitor import (PASS, Clause, MonitorVerdict, controller_monitor,
+from waynet.monitor import (PASS, Clause, MonitorVerdict, ann_residual, controller_monitor,
                             fallback_accel, plant_monitor)
-from waynet.controllers import (PdGains, bang_bang, choose_accel, cross_track_error,
-                                declared_curvature, liveness_accel, pd)
-from waynet.plan import (ActiveTarget, DeadEnd, PlanGraph, deterministic_first,
-                         gen_environment, initial_state, next_target, seeded_random,
-                         target_for_edge)
+from waynet.controllers import (PdGains, bang_bang, choose_accel, declared_curvature,
+                                liveness_accel, pd)
+from waynet.plan import (DeadEnd, PlanGraph, deterministic_first, gen_environment,
+                         initial_state, next_target, seeded_random)
 from waynet.plan import DEFAULT_SCALES  # re-exported: each built-in course's scale (m)
 
 DEFAULT_PARAMS = Params(accel_max=3.0, brake_max=3.0, cycle_max=0.5, tol=1.0)
@@ -50,7 +49,6 @@ class ControllerProfile:
     kp: float = 0.0
     kd: float = 0.0
     k_max: float = 2.0
-    deadband_frac: float = 0.2  # bang-bang deadband as a fraction of tol
 
 
 PROFILES = {
@@ -148,21 +146,6 @@ def format_log(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _lookahead(v: float, target: ActiveTarget | None, p: Params) -> float:
-    """Path distance to the active target: a handful of goal radii, at least
-    1.5 cycles of travel, and enough room for the invariant's speed-gap
-    distance terms (brake down to the upper limit, or accelerate back up to
-    the lower one) with a factor-2 margin."""
-    L = max(6.0 * p.tol, 1.5 * v * p.cycle_max + p.tol)
-    if target is not None:
-        wp = target.waypoint
-        if v > wp.vh:
-            L = max(L, (v * v - wp.vh * wp.vh) / p.brake_max + 2.0 * p.tol)
-        if v < wp.vl:
-            L = max(L, (wp.vl * wp.vl - v * v) / p.accel_max + 2.0 * p.tol)
-    return L
-
-
 def _gate(wp: RelWaypoint, v: float, a: float, p: Params,
           interval_mode: bool) -> MonitorVerdict:
     verdict = controller_monitor(wp, v, a, p)
@@ -178,9 +161,8 @@ def _steering(profile: ControllerProfile, rel: RelPoint, k_seg: float,
               k_decl: float, v: float, p: Params, prev_e: float):
     """Steering command and updated residual memory for one cycle."""
     eps = p.tol
-    if profile.kind == "bangbang":
-        return bang_bang(rel, k_seg, eps, profile.deadband_frac * eps,
-                         profile.k_max), 0.0
+    if profile.kind == "bangbang":  # deadband: a fifth of the goal radius
+        return bang_bang(rel, k_seg, eps, 0.2 * eps, profile.k_max), 0.0
     if profile.kind == "pd":
         # Gain scheduling: the band residual's per-cycle sensitivity to a
         # curvature change grows like v*x*T, so normalize the gains by it to
@@ -189,7 +171,7 @@ def _steering(profile: ControllerProfile, rel: RelPoint, k_seg: float,
         gains = PdGains(kp=profile.kp / scale, kd=profile.kd / scale,
                         curvature_max=profile.k_max)
         cmd = pd(rel, prev_e, p.cycle_max, k_seg, eps, gains)
-        return cmd, cross_track_error(rel, k_seg, eps)
+        return cmd, ann_residual(rel.x, rel.y, k_seg, eps)
     # liveness and adversarial steer the declared (residual-zeroing) curvature.
     return k_decl, 0.0
 
@@ -203,10 +185,7 @@ def run_episode(cfg: EpisodeConfig):
     policy = seeded_random(rng.randrange(2**32)) if cfg.branch == "random" \
         else deterministic_first
 
-    pose, edge0 = initial_state(graph, policy)
-    v = graph.segments[edge0].b.vl  # start inside the first limits
-    target = target_for_edge(graph, edge0, pose, p,
-                             lookahead=_lookahead(v, None, p))
+    pose, v, target = initial_state(graph, p, policy)
 
     cycles = 0
     ctrl_failures = 0
@@ -229,10 +208,8 @@ def run_episode(cfg: EpisodeConfig):
     while cycles < cfg.max_cycles:
         if cycles > 0:
             try:
-                target = next_target(graph, target, pose, rel2, p, policy,
-                                     reached_hint=reached_hint,
-                                     lookahead=_lookahead(v, target, p),
-                                     overshoot=v * p.cycle_max)
+                target = next_target(graph, target, pose, rel2, v, p, policy,
+                                     reached_hint=reached_hint)
             except DeadEnd as end:
                 completed = end.completed
                 break
@@ -343,8 +320,8 @@ def run_episode(cfg: EpisodeConfig):
     return report, rows
 
 
-def summarize(reports, grouping=("environment", "controller")):
-    """Aggregate reports into per-group means.
+def summarize(reports):
+    """Aggregate reports into per-(environment, controller) means.
 
     Returns (text table, machine-readable rows as a list of dicts).
     """
@@ -352,15 +329,14 @@ def summarize(reports, grouping=("environment", "controller")):
         raise ValueError("summarize requires at least one report")
     groups: dict[tuple, list[EpisodeReport]] = {}
     for r in reports:
-        key = tuple(getattr(r, g) for g in grouping)
-        groups.setdefault(key, []).append(r)
+        groups.setdefault((r.environment, r.controller), []).append(r)
 
     rows = []
-    for key in sorted(groups):
-        rs = groups[key]
+    for (environment, controller), rs in sorted(groups.items()):
         n = len(rs)
-        row = dict(zip(grouping, key))
-        row.update({
+        row = {
+            "environment": environment,
+            "controller": controller,
             "episodes": n,
             "completed_frac": sum(r.completed for r in rs) / n,
             "avg_speed": sum(r.avg_speed for r in rs) / n,
@@ -369,7 +345,7 @@ def summarize(reports, grouping=("environment", "controller")):
             "safety_violations": sum(r.safety_violations for r in rs),
             "fallback_engagements": sum(r.fallback_engagements for r in rs),
             "below_vl_at_goal": sum(r.below_vl_at_goal for r in rs),
-        })
+        }
         rows.append(row)
 
     headers = list(rows[0].keys())

@@ -202,11 +202,10 @@ def fallback_accel(v: float, p: Params) -> float:
 
 @dataclass(frozen=True)
 class Toy1DState:
-    """1D idealized driving: distance d to the destination, current speed v,
-    maximum speed V, and maximum cycle duration T."""
+    """1D idealized driving: distance d to the destination, maximum speed V,
+    and maximum cycle duration T."""
 
     d: float
-    v: float
     V: float
     T: float
 
@@ -235,7 +234,7 @@ def simulate_1d(d0: float, V: float, T: float, proposals, monitored: bool = True
     d = d0
     trace = [d]
     for proposed_v, dt in proposals:
-        s = Toy1DState(d=d, v=0.0, V=V, T=T)
+        s = Toy1DState(d=d, V=V, T=T)
         if monitored and not monitor_1d(s, proposed_v):
             proposed_v = 0.0
         d -= proposed_v * dt

@@ -297,7 +297,6 @@ class ActiveTarget:
     target_world: tuple[float, float]
     frac: float                 # position of the target along the segment; 1 = end node
     waypoint: RelWaypoint       # body-frame view, recomputed every cycle
-    advanced: bool = False      # progress flag: a node was reached this cycle
 
 
 def deterministic_first(node_id: str, choices: tuple[int, ...]) -> int:
@@ -313,9 +312,11 @@ def seeded_random(seed: int):
     return policy
 
 
-def initial_state(graph: PlanGraph, branch_policy=deterministic_first):
-    """Starting edge (chosen by the branch policy) and the pose at the start
-    node heading along it. Returns (WorldPose, edge_index)."""
+def initial_state(graph: PlanGraph, p: Params, branch_policy=deterministic_first):
+    """Pose at the start node heading along the starting edge (chosen by the
+    branch policy), the start speed (the edge's lower limit, so the robot
+    starts inside it) and the first active target. Returns
+    (WorldPose, v, ActiveTarget)."""
     choices = graph.successors(graph.start)
     if not choices:
         raise PlanError(f"start node {graph.start!r} has no outgoing edges")
@@ -323,10 +324,27 @@ def initial_state(graph: PlanGraph, branch_policy=deterministic_first):
     seg = graph.segments[edge_index]
     a, b = seg.a, seg.b
     heading = math.atan2(b.y - a.y, b.x - a.x) if seg.geom is None else arc_heading(seg.geom, 0.0)
-    return WorldPose(a.x, a.y, heading), edge_index
+    pose = WorldPose(a.x, a.y, heading)
+    v = b.vl
+    return pose, v, target_for_edge(graph, edge_index, pose, _lookahead(v, None, p))
 
 
-def _target_candidate(seg: Segment, pose: WorldPose, lookahead: float | None = None):
+def _lookahead(v: float, target: ActiveTarget | None, p: Params) -> float:
+    """Path distance to the active target: a handful of goal radii, at least
+    1.5 cycles of travel, and enough room for the invariant's speed-gap
+    distance terms (brake down to the upper limit, or accelerate back up to
+    the lower one) with a factor-2 margin."""
+    L = max(6.0 * p.tol, 1.5 * v * p.cycle_max + p.tol)
+    if target is not None:
+        wp = target.waypoint
+        if v > wp.vh:
+            L = max(L, (v * v - wp.vh * wp.vh) / p.brake_max + 2.0 * p.tol)
+        if v < wp.vl:
+            L = max(L, (wp.vl * wp.vl - v * v) / p.accel_max + 2.0 * p.tol)
+    return L
+
+
+def _target_candidate(seg: Segment, pose: WorldPose, lookahead: float):
     """Pick the target point on a segment: the end node, capped to at most
     ``lookahead`` meters of path ahead of the robot's projection (arcs are
     additionally capped at 90 degrees of remaining sweep), and pushed ahead of
@@ -335,9 +353,7 @@ def _target_candidate(seg: Segment, pose: WorldPose, lookahead: float | None = N
     here = seg.fraction(pose)
     geom = seg.geom
     if geom is not None:
-        max_sweep = math.pi / 2.0
-        if lookahead is not None:
-            max_sweep = min(max_sweep, lookahead / geom.radius)
+        max_sweep = min(math.pi / 2.0, lookahead / geom.radius)
         frac = min(1.0, here + max_sweep / abs(geom.sweep))
         target = seg.point(frac)
         rel = to_relative(pose, target)
@@ -348,9 +364,7 @@ def _target_candidate(seg: Segment, pose: WorldPose, lookahead: float | None = N
             rel = to_relative(pose, target)
     else:
         length = math.hypot(seg.b.x - seg.a.x, seg.b.y - seg.a.y)
-        frac = 1.0
-        if lookahead is not None and length > 0.0:
-            frac = min(1.0, here + lookahead / length)
+        frac = min(1.0, here + lookahead / length) if length > 0.0 else 1.0
         target = seg.point(frac)
         rel = to_relative(pose, target)
     if rel.x <= 0.0:
@@ -369,37 +383,35 @@ def _target_candidate(seg: Segment, pose: WorldPose, lookahead: float | None = N
 
 
 def target_for_edge(graph: PlanGraph, edge_index: int, pose: WorldPose,
-                    p: Params, advanced: bool = False,
-                    lookahead: float | None = None) -> ActiveTarget:
-    """Body-frame active target for a segment from the current pose."""
+                    lookahead: float) -> ActiveTarget:
+    """Body-frame active target for a segment from the current pose, at most
+    ``lookahead`` meters of path ahead (``math.inf``: no cap but the arc's)."""
     seg = graph.segments[edge_index]
     target, frac, rel = _target_candidate(seg, pose, lookahead)
     wp = RelWaypoint(rel.x, rel.y, seg.k, seg.b.vl, seg.b.vh)
-    return ActiveTarget(edge_index=edge_index, target_world=target, frac=frac,
-                        waypoint=wp, advanced=advanced)
+    return ActiveTarget(edge_index=edge_index, target_world=target, frac=frac, waypoint=wp)
 
 
 def next_target(graph: PlanGraph, current: ActiveTarget, pose: WorldPose,
-                rel: RelPoint, p: Params, branch_policy=deterministic_first,
-                reached_hint: bool = False,
-                lookahead: float | None = None,
-                overshoot: float = 0.0) -> ActiveTarget:
-    """Advance or keep the active target and recompute its body-frame view.
+                rel: RelPoint, v: float, p: Params, branch_policy=deterministic_first,
+                reached_hint: bool = False) -> ActiveTarget:
+    """Advance or keep the active target and recompute its body-frame view,
+    looking ahead by ``_lookahead`` of the speed v.
 
     ``rel`` is ``current.target_world`` in the body frame of ``pose``; the
     harness has it from the plant monitor's check of the in-force target.
     ``reached_hint`` marks that the vehicle's arc passed through the target's
-    goal region between cycle boundaries.
+    goal region between cycle boundaries; an end node just behind the robot
+    (within 3 goal radii or one cycle of travel at v) also counts as reached.
     Raises DeadEnd when the segment's end node is reached and is a terminal
     (completed) or has no successors (stuck).
     """
     edge_index = current.edge_index
-    advanced = False
     dist = euclid_norm(rel.x, rel.y)
     reached = reached_hint or dist <= p.tol
     # frac accumulates sub-ulp rounding; treat within 1e-9 of 1 as the end.
     at_end = current.frac >= 1.0 - 1e-9
-    slop = max(3.0 * p.tol, overshoot)
+    slop = max(3.0 * p.tol, v * p.cycle_max)
     if at_end and rel.x <= 0.0 and dist <= slop:
         reached = True  # narrowly overshot the end node; advance, not stall
     if reached and at_end:
@@ -410,9 +422,8 @@ def next_target(graph: PlanGraph, current: ActiveTarget, pose: WorldPose,
         if not choices:
             raise DeadEnd(node, False)
         edge_index = branch_policy(node, choices)
-        advanced = True
 
-    return target_for_edge(graph, edge_index, pose, p, advanced, lookahead)
+    return target_for_edge(graph, edge_index, pose, _lookahead(v, current, p))
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +479,7 @@ _DEFAULT_SPEEDS = {
 DEFAULT_SCALES = {"rect": 40.0, "turns": 20.0, "clover": 200.0}
 
 
-def gen_environment(name: str, scale: float | None = None,
-                    speed: tuple[float, float] | None = None) -> PlanGraph:
+def gen_environment(name: str, scale: float | None = None) -> PlanGraph:
     """Built-in closed-loop benchmark course, at its default scale (m) unless
     one is given. The start node doubles as the terminal, so an episode is one
     lap."""
@@ -479,7 +489,7 @@ def gen_environment(name: str, scale: float | None = None,
         scale = DEFAULT_SCALES[name]
     if not (scale > 0.0 and math.isfinite(scale)):
         raise PlanError(f"scale must be positive and finite, got {scale!r}")
-    vl, vh = speed if speed is not None else _DEFAULT_SPEEDS[name]
+    vl, vh = _DEFAULT_SPEEDS[name]
     if name == "rect":
         # 4 straights + 4 quarter-arc corners of radius scale/4.
         return _rounded_polygon(4, scale, scale / 4.0, vl, vh)

@@ -26,6 +26,9 @@ SPEED_MAX = 40.0
 DIST_MAX = 60.0
 
 DEFAULT_SLACK = 1e-9
+TIME_POINTS = 100      # flow samples per invariant or progress check
+REFINE_ITERS = 80      # ternary-search steps of the cruise trough refinement
+SIMPSON_POINTS = 200   # Simpson panels of the oracle's distance quadrature
 
 
 @dataclass(frozen=True)
@@ -118,12 +121,10 @@ def _flow(sample: StateSample, t: float):
     return pt, v
 
 
-def check_invariant_preservation(n: int = 10_000, seed: int = 0,
-                                 time_points: int = 100,
-                                 slack: float = DEFAULT_SLACK) -> CheckReport:
+def check_invariant_preservation(n: int = 10_000, seed: int = 0) -> CheckReport:
     """For n states satisfying J, Feas, and Go, the invariant J must hold at
     every sampled time in [0, T] along the exact flow (comparisons relaxed by
-    ``slack`` to absorb trigonometric roundoff)."""
+    ``DEFAULT_SLACK`` to absorb trigonometric roundoff)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
@@ -131,11 +132,11 @@ def check_invariant_preservation(n: int = 10_000, seed: int = 0,
     for i in range(n):
         sample = sample_compliant_state(rng, seed=i)
         T = sample.p.cycle_max
-        for j in range(time_points):
-            t = T * j / (time_points - 1)
+        for j in range(TIME_POINTS):
+            t = T * j / (TIME_POINTS - 1)
             pt, v = _flow(sample, t)
             wp_t = RelWaypoint(pt.x, pt.y, sample.wp.k, sample.wp.vl, sample.wp.vh)
-            verdict = invariant_j(wp_t, v, sample.p, slack=slack)
+            verdict = invariant_j(wp_t, v, sample.p, slack=DEFAULT_SLACK)
             if not verdict.passed:
                 violations.append(Violation(sample, t, f"J fails: {verdict.failed_clause.value}"))
                 break
@@ -145,8 +146,7 @@ def check_invariant_preservation(n: int = 10_000, seed: int = 0,
 PROGRESS_CASES = ("speedup", "cruise", "slowdown")
 
 
-def check_progress(case: str, n: int = 1_000, seed: int = 0,
-                   time_points: int = 100) -> CheckReport:
+def check_progress(case: str, n: int = 1_000, seed: int = 0) -> CheckReport:
     """The case's progress function must strictly decrease along the exact
     flow while outside the case's target set; the minimum per-cycle decrease
     is reported in the note."""
@@ -195,8 +195,8 @@ def check_progress(case: str, n: int = 1_000, seed: int = 0,
         pt0, v0 = _flow(sample, 0.0)
         prev = g(pt0, v0)
         prev_t = older_t = 0.0
-        for j in range(1, time_points + 1):
-            t = horizon * j / time_points
+        for j in range(1, TIME_POINTS + 1):
+            t = horizon * j / TIME_POINTS
             pt, vt = _flow(sample, t)
             value = g(pt, vt)
             if value >= prev:
@@ -217,11 +217,10 @@ def check_progress(case: str, n: int = 1_000, seed: int = 0,
     return CheckReport(f"progress_{case}", n, tuple(violations), note)
 
 
-def _refined_min(sample: StateSample, g, t_lo: float, t_hi: float,
-                 iters: int = 80) -> float:
+def _refined_min(sample: StateSample, g, t_lo: float, t_hi: float) -> float:
     """Ternary-search minimum of g along the flow over [t_lo, t_hi]."""
     lo, hi = t_lo, t_hi
-    for _ in range(iters):
+    for _ in range(REFINE_ITERS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if g(*_flow(sample, m1)) <= g(*_flow(sample, m2)):
@@ -231,14 +230,14 @@ def _refined_min(sample: StateSample, g, t_lo: float, t_hi: float,
     return g(*_flow(sample, (lo + hi) / 2.0))
 
 
-def _quadrature_distance(v0: float, a: float, duration: float, points: int = 200) -> float:
+def _quadrature_distance(v0: float, a: float, duration: float) -> float:
     """Composite-Simpson integral of the (linear) speed profile; an arithmetic
     path independent of the closed-form distance term."""
     if duration <= 0.0:
         return 0.0
-    h = duration / (2 * points)
+    h = duration / (2 * SIMPSON_POINTS)
     total = v0 + (v0 + a * duration)
-    for j in range(1, 2 * points):
+    for j in range(1, 2 * SIMPSON_POINTS):
         w = 4.0 if j % 2 else 2.0
         total += w * (v0 + a * (j * h))
     return total * h / 3.0

@@ -1,7 +1,17 @@
 """Classical RK4 integration of the body-frame plant ODE: the independent
-oracle that the dynamics-fidelity tests compare the exact flow against."""
+oracle that the dynamics-fidelity tests compare the exact flow against, and
+the inverse of the body-frame transform."""
 
+import math
+
+from waynet.core import WorldPose
 from waynet.dynamics import RelPoint
+
+
+def from_relative(pose: WorldPose, rel: RelPoint):
+    """Inverse of to_relative: body-frame point back to world coordinates."""
+    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    return (pose.x + c * rel.x - s * rel.y, pose.y + s * rel.x + c * rel.y)
 
 
 def plant_derivative(pt: RelPoint, v: float, a: float, k: float):

@@ -132,6 +132,18 @@ def test_bad_scale_exits_2(capsys, command, scale):
     assert "scale" in err
 
 
+@pytest.mark.parametrize("scale", ["0", "40", "nan"])
+def test_simulate_plan_rejects_scale(tmp_path, capsys, scale):
+    # A plan file has no scale: even a valid --scale must not pass silently.
+    plan = tmp_path / "rect.plan"
+    run(capsys, "gen-env", "rect", "--out", str(plan))
+    code, out, err = run(capsys, "simulate", "--plan", str(plan), "--episodes", "1",
+                         "--scale", scale)
+    assert code == 2
+    assert out == ""
+    assert "--scale" in err
+
+
 @pytest.mark.parametrize("name", ["rect", "turns", "clover"])
 def test_gen_env_plan_is_the_simulated_course(tmp_path, capsys, name):
     plan = tmp_path / f"{name}.plan"

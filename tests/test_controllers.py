@@ -3,26 +3,26 @@ import random
 
 import pytest
 
-from waynet.controllers import (PdGains, bang_bang, choose_accel, cross_track_error,
-                                declared_curvature, liveness_accel, pd)
+from waynet.controllers import (PdGains, bang_bang, choose_accel, declared_curvature,
+                                liveness_accel, pd)
 from waynet.core import Params, RelWaypoint
 from waynet.dynamics import RelPoint
-from waynet.monitor import fallback_accel, go
+from waynet.monitor import ann_residual, fallback_accel, go
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
 
 
 class TestCrossTrack:
     def test_zero_on_band_center(self):
-        assert cross_track_error(RelPoint(5.0, 0.0), k=0.0, eps=1.0) == 0.0
+        assert ann_residual(5.0, 0.0, k=0.0, eps=1.0) == 0.0
 
     def test_reference_residual(self):
-        e = cross_track_error(RelPoint(2.5, -3.0), k=-0.4, eps=1.0)
+        e = ann_residual(2.5, -3.0, k=-0.4, eps=1.0)
         assert e == pytest.approx(0.15)
 
     def test_sign_left_of_band(self):
         # Waypoint left of the declared straight line -> negative residual.
-        assert cross_track_error(RelPoint(5.0, 1.0), k=0.0, eps=1.0) < 0.0
+        assert ann_residual(5.0, 1.0, k=0.0, eps=1.0) < 0.0
 
 
 class TestBangBang:
@@ -33,7 +33,7 @@ class TestBangBang:
     def test_positive_residual_steers_right(self):
         # e = -y = +0.5 for a waypoint to the right: reduce curvature.
         rel = RelPoint(5.0, -0.5)
-        assert cross_track_error(rel, 0.0, 1.0) == pytest.approx(0.5)
+        assert ann_residual(rel.x, rel.y, 0.0, 1.0) == pytest.approx(0.5)
         assert bang_bang(rel, 0.0, eps=1.0, deadband=0.1, k_max=0.8) == \
             pytest.approx(-0.8)
 
@@ -56,7 +56,7 @@ class TestPd:
         # e = -y = 0.2, prev 0.1, dt 0.1: cmd = -(0.5*0.2 + 0.05*1.0) = -0.15
         g = PdGains(kp=0.5, kd=0.05, curvature_max=1.0)
         rel = RelPoint(5.0, -0.2 - 0.0)
-        e = cross_track_error(rel, 0.0, eps=1.0)
+        e = ann_residual(rel.x, rel.y, 0.0, eps=1.0)
         assert e == pytest.approx(0.2)
         assert pd(rel, prev_e=0.1, dt=0.1, k_seg=0.0, eps=1.0, g=g) == \
             pytest.approx(-0.15)
@@ -129,7 +129,7 @@ class TestDeclaredCurvature:
     def test_zeroes_residual_when_admissible(self):
         rel = RelPoint(2.5, -3.0)
         k = declared_curvature(rel, k_seg=0.1, eps=1.0)
-        assert cross_track_error(rel, k, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert ann_residual(rel.x, rel.y, k, 1.0) == pytest.approx(0.0, abs=1e-12)
         assert k == pytest.approx(-0.42105, abs=1e-5)
 
     def test_falls_back_when_scale_clause_would_fail(self):

@@ -7,10 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from waynet.core import WorldPose
 from waynet.dynamics import (Disturbance, RelPoint, actuated, arc_step,
-                             closed_form_relative, from_relative, goal_span,
-                             to_relative)
+                             closed_form_relative, goal_span, to_relative)
 
-from rk4 import plant_derivative, step_relative
+from rk4 import from_relative, plant_derivative, step_relative
 
 
 class TestPlantDerivative:

@@ -168,13 +168,13 @@ def test_monitor_verdict_consistency_enforced():
 
 class TestToy1D:
     def test_far_enough(self):
-        assert monitor_1d(Toy1DState(d=10.0, v=0.0, V=2.0, T=1.0), proposed_v=2.0)
+        assert monitor_1d(Toy1DState(d=10.0, V=2.0, T=1.0), proposed_v=2.0)
 
     def test_too_close_must_stop(self):
-        assert not monitor_1d(Toy1DState(d=1.5, v=0.0, V=2.0, T=1.0), proposed_v=1.0)
+        assert not monitor_1d(Toy1DState(d=1.5, V=2.0, T=1.0), proposed_v=1.0)
 
     def test_stopping_always_allowed(self):
-        assert monitor_1d(Toy1DState(d=0.1, v=0.0, V=2.0, T=1.0), proposed_v=0.0)
+        assert monitor_1d(Toy1DState(d=0.1, V=2.0, T=1.0), proposed_v=0.0)
 
     def test_monitored_trace_stays_non_negative(self):
         proposals = [(2.0, 1.0)] * 20

@@ -151,15 +151,18 @@ class TestArcGeometry:
 class TestTargets:
     def test_initial_state_heads_along_first_edge(self):
         g = parse_plan(SIMPLE)
-        pose, edge_index = initial_state(g)
-        assert edge_index == 0
+        pose, v, t = initial_state(g, P)
+        assert t.edge_index == 0
         assert (pose.x, pose.y) == (0.0, 0.0)
         assert pose.heading == pytest.approx(0.0)
+        # Starts at the edge's lower limit, looking 6 goal radii (3 m) ahead.
+        assert v == 1.0
+        assert t.frac == pytest.approx(0.3)
 
     def test_target_is_end_node_without_lookahead(self):
         g = parse_plan(SIMPLE)
-        pose, ei = initial_state(g)
-        t = target_for_edge(g, ei, pose, P)
+        pose, _, _ = initial_state(g, P)
+        t = target_for_edge(g, 0, pose, math.inf)
         assert t.frac == 1.0
         assert t.target_world == pytest.approx((10.0, 0.0))
         assert t.waypoint.x == pytest.approx(10.0)
@@ -167,15 +170,15 @@ class TestTargets:
 
     def test_lookahead_caps_line_target(self):
         g = parse_plan(SIMPLE)
-        pose, ei = initial_state(g)
-        t = target_for_edge(g, ei, pose, P, lookahead=4.0)
+        pose, _, _ = initial_state(g, P)
+        t = target_for_edge(g, 0, pose, 4.0)
         assert t.frac == pytest.approx(0.4)
         assert t.target_world == pytest.approx((4.0, 0.0))
 
     def test_lookahead_caps_arc_sweep(self):
         g = parse_plan(SIMPLE)
         pose = WorldPose(10.0, 0.0, 0.0)
-        t = target_for_edge(g, 1, pose, P, lookahead=1.0)
+        t = target_for_edge(g, 1, pose, 1.0)
         geom = arc_geometry(10.0, 0.0, 12.0, 2.0, 0.5)
         # 1 m of lookahead on a radius-2 arc is 0.5 rad of sweep
         assert t.frac == pytest.approx(0.5 / abs(geom.sweep))
@@ -185,7 +188,7 @@ class TestTargets:
         g = parse_plan(SIMPLE)
         pose = WorldPose(5.0, 0.5, -2.0 * math.pi / 3.0)
         assert to_relative(pose, (10.0, 0.0)).x < 0.0  # end node is behind
-        t = target_for_edge(g, 0, pose, P)
+        t = target_for_edge(g, 0, pose, math.inf)
         rel = to_relative(pose, t.target_world)
         assert rel.x > 0.0
         assert t.frac < 1.0
@@ -194,51 +197,63 @@ class TestTargets:
         # Nothing on the segment is ahead; the end node is the documented fallback.
         g = parse_plan(SIMPLE)
         pose = WorldPose(5.0, 0.5, math.pi)
-        t = target_for_edge(g, 0, pose, P)
+        t = target_for_edge(g, 0, pose, math.inf)
         assert t.target_world == pytest.approx((10.0, 0.0))
 
     def test_advance_within_tolerance(self):
         g = parse_plan(SIMPLE)
-        pose, ei = initial_state(g)
-        current = target_for_edge(g, ei, pose, P)
+        current = target_for_edge(g, 0, WorldPose(0.0, 0.0, 0.0), math.inf)
         near_b = WorldPose(9.8, 0.0, 0.0)
-        nxt = next_target(g, current, near_b, to_relative(near_b, current.target_world), P)
-        assert nxt.advanced
+        nxt = next_target(g, current, near_b, to_relative(near_b, current.target_world),
+                          1.5, P)
         assert nxt.edge_index == 1
 
     def test_no_advance_when_far(self):
         g = parse_plan(SIMPLE)
-        pose, ei = initial_state(g)
-        current = target_for_edge(g, ei, pose, P)
+        current = target_for_edge(g, 0, WorldPose(0.0, 0.0, 0.0), math.inf)
         pose = WorldPose(3.0, 0.0, 0.0)
-        nxt = next_target(g, current, pose, to_relative(pose, current.target_world), P)
-        assert not nxt.advanced
+        nxt = next_target(g, current, pose, to_relative(pose, current.target_world), 1.5, P)
         assert nxt.edge_index == 0
 
     def test_overshoot_advances(self):
         g = parse_plan(SIMPLE)
-        current = target_for_edge(g, 0, WorldPose(9.0, 0.0, 0.0), P)
+        current = target_for_edge(g, 0, WorldPose(9.0, 0.0, 0.0), math.inf)
         # Past the end node, inside the overshoot slop, end node behind us.
         past = WorldPose(11.0, 0.0, 0.0)
-        nxt = next_target(g, current, past, to_relative(past, current.target_world), P,
-                          overshoot=1.5)
-        assert nxt.advanced
+        nxt = next_target(g, current, past, to_relative(past, current.target_world), 1.0, P)
+        assert nxt.edge_index == 1
+        # 2.5 m past: beyond 3 goal radii (1.5 m), so only a speed whose cycle
+        # of travel v T reaches 2.5 m advances.
+        past = WorldPose(12.5, 0.0, 0.0)
+        rel = to_relative(past, current.target_world)
+        assert next_target(g, current, past, rel, 1.0, P).edge_index == 0
+        assert next_target(g, current, past, rel, 6.0, P).edge_index == 1
+
+    def test_lookahead_covers_the_speed_gap(self):
+        # Within the 1-2 m/s limits the look-ahead is 6 goal radii (3 m); at
+        # 4 m/s it must cover braking to 2 m/s, (16 - 4) / B + 2 tol = 13 m.
+        g = parse_plan(SIMPLE)
+        current = target_for_edge(g, 0, WorldPose(0.0, 0.0, 0.0), math.inf)
+        pose = WorldPose(2.0, 0.0, 0.0)
+        rel = to_relative(pose, current.target_world)
+        assert next_target(g, current, pose, rel, 1.5, P).frac == pytest.approx(0.5)
+        assert next_target(g, current, pose, rel, 4.0, P).frac == 1.0
 
     def test_terminal_raises_completed(self):
         g = parse_plan(SIMPLE)
-        current = target_for_edge(g, 1, WorldPose(10.0, 0.0, 0.0), P)
+        current = target_for_edge(g, 1, WorldPose(10.0, 0.0, 0.0), math.inf)
         with pytest.raises(DeadEnd) as exc:
             pose = WorldPose(11.9, 1.9, math.pi / 2.0)
-            next_target(g, current, pose, to_relative(pose, current.target_world), P,
+            next_target(g, current, pose, to_relative(pose, current.target_world), 1.5, P,
                         reached_hint=True)
         assert exc.value.completed and exc.value.node == "c"
 
     def test_dead_end_not_terminal(self):
         g = parse_plan("node a 0 0 0 1\nnode b 5 0 0 1\nstart a\nedge a b line\n")
-        current = target_for_edge(g, 0, WorldPose(0.0, 0.0, 0.0), P)
+        current = target_for_edge(g, 0, WorldPose(0.0, 0.0, 0.0), math.inf)
         with pytest.raises(DeadEnd) as exc:
             pose = WorldPose(4.9, 0.0, 0.0)
-            next_target(g, current, pose, to_relative(pose, current.target_world), P)
+            next_target(g, current, pose, to_relative(pose, current.target_world), 0.5, P)
         assert not exc.value.completed
 
     def test_branch_policy_determinism(self):
@@ -262,7 +277,7 @@ class TestTargets:
         g = parse_plan(SIMPLE)
         for edge_index, pose in ((0, WorldPose(5.0, 0.5, -2.0 * math.pi / 3.0)),
                                  (1, WorldPose(10.5, 0.2, 0.3))):
-            t = target_for_edge(g, edge_index, pose, P, lookahead=1.0)
+            t = target_for_edge(g, edge_index, pose, 1.0)
             rel = to_relative(pose, t.target_world)
             assert (t.waypoint.x, t.waypoint.y) == (rel.x, rel.y)
 
@@ -291,10 +306,6 @@ class TestEnvironments:
         clover = gen_environment("clover", 40.0)
         vh = lambda g: max(n.vh for n in g.nodes.values())
         assert vh(clover) > vh(rect)
-
-    def test_custom_speeds(self):
-        g = gen_environment("rect", 10.0, speed=(1.0, 4.0))
-        assert all((n.vl, n.vh) == (1.0, 4.0) for n in g.nodes.values())
 
     def test_validation_errors(self):
         with pytest.raises(PlanError):
