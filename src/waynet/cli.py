@@ -1,5 +1,5 @@
 """Command-line interface: simulation grids, plan tooling, offline
-re-monitoring of logs, monitor throughput benchmarks, and numeric checks.
+re-monitoring of logs, and numeric checks.
 
 Exit codes: 0 success, 1 safety violation observed (or failed check), 2
 invalid plan or configuration.
@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
-import time
 from pathlib import Path
 
 from waynet.core import Params, RelWaypoint
 from waynet.dynamics import Disturbance, WorldPose, to_relative
 from waynet.harness import (CONTROLLERS, DEFAULT_PARAMS, EpisodeConfig, LOG_HEADER,
                             format_log, format_value, run_episode, summarize)
-from waynet.intervals import Ivl, interval_eval_controller
 from waynet.monitor import controller_monitor
 from waynet.plan import ENVIRONMENTS, PlanError, gen_environment, parse_plan, serialize
 from waynet import verify as verify_mod
@@ -41,6 +40,14 @@ def _parse_disturbance(text: str) -> Disturbance:
                            accel_gain_error=a, cycle_jitter=j)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _count(text: str) -> int:
+    """argparse type of --episodes and --n: a whole number of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _params(args) -> Params:
@@ -72,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--controller", default="pd1",
                      help=f"controller from {CONTROLLERS}, or 'all', "
                           "or a comma-separated list")
-    sim.add_argument("--episodes", type=int, default=5)
+    sim.add_argument("--episodes", type=_count, default=5)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--scale", type=float,
                      help="course scale (m); default: each course's own")
@@ -99,13 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("log", type=Path)
     _add_param_flags(ev)
 
-    bench = sub.add_parser("bench", help="monitor evaluation throughput")
-    bench.add_argument("--n", type=int, default=100_000)
-    _add_param_flags(bench)
-
     ver = sub.add_parser("verify", help="numeric checks of the formula guarantees")
     ver.add_argument("check", choices=("invariant", "progress", "oracle", "all"))
-    ver.add_argument("--n", type=int, default=1000)
+    ver.add_argument("--n", type=_count, default=1000)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--case", choices=verify_mod.PROGRESS_CASES,
                      help="restrict 'progress' to one case")
@@ -199,17 +202,23 @@ def _cmd_monitor_eval(args) -> int:
     lines = args.log.read_text().splitlines()
     if not lines or lines[0] != LOG_HEADER:
         raise ValueError(f"{args.log}: not a trajectory log (bad header)")
+    header = LOG_HEADER.split(",")
     counts: dict[str, int] = {}
     total = 0
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
-        if len(fields) != len(LOG_HEADER.split(",")):
+        if len(fields) != len(header):
             raise ValueError(f"{args.log}:{lineno}: malformed row")
-        (_, _, X, Y, psi, v, _, a_acted, k_decl, wx, wy, vl, vh, _, _) = fields
-        pose = WorldPose(float(X), float(Y), float(psi))
-        rel = to_relative(pose, (float(wx), float(wy)))
-        wp = RelWaypoint(rel.x, rel.y, float(k_decl), float(vl), float(vh))
-        verdict = controller_monitor(wp, float(v), float(a_acted), params)
+        try:  # every field but the two verdicts is a number
+            numbers = [float(text) for text in fields[:-2]]
+        except ValueError:
+            raise ValueError(f"{args.log}:{lineno}: non-numeric field") from None
+        bad = [name for name, value in zip(header, numbers) if not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"{args.log}:{lineno}: non-finite {', '.join(bad)}")
+        _, _, X, Y, psi, v, _, a_acted, k_decl, wx, wy, vl, vh = numbers
+        rel = to_relative(WorldPose(X, Y, psi), (wx, wy))
+        verdict = controller_monitor(RelWaypoint(*rel, k_decl, vl, vh), v, a_acted, params)
         label = "pass" if verdict.passed else verdict.failed_clause.value
         counts[label] = counts.get(label, 0) + 1
         total += 1
@@ -217,29 +226,6 @@ def _cmd_monitor_eval(args) -> int:
         print(f"{label}: {counts[label]}")
     failed = total - counts.get("pass", 0)
     print(f"total: {total} cycles, {failed} rejected")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    params = _params(args)
-    wp = RelWaypoint(x=12.0, y=0.4, k=0.005, vl=2.0, vh=6.0)
-    v, a = 4.0, 0.8
-    start = time.perf_counter()
-    for _ in range(args.n):
-        controller_monitor(wp, v, a, params)
-    point_dt = time.perf_counter() - start
-
-    n_iv = max(1, args.n // 100)
-    box = [Ivl(wp.x), Ivl(wp.y), Ivl(wp.k), Ivl(wp.vl), Ivl(wp.vh), Ivl(v), Ivl(a)]
-    start = time.perf_counter()
-    for _ in range(n_iv):
-        interval_eval_controller(*box, params)
-    iv_dt = time.perf_counter() - start
-
-    print(f"point monitor:    {args.n} evals in {point_dt:.3f} s "
-          f"({args.n / point_dt:,.0f}/s)")
-    print(f"interval monitor: {n_iv} evals in {iv_dt:.3f} s "
-          f"({n_iv / iv_dt:,.0f}/s)")
     return 0
 
 
@@ -263,7 +249,6 @@ _COMMANDS = {
     "check-plan": _cmd_check_plan,
     "gen-env": _cmd_gen_env,
     "monitor-eval": _cmd_monitor_eval,
-    "bench": _cmd_bench,
     "verify": _cmd_verify,
 }
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from waynet.core import Params, RelWaypoint
-from waynet.dynamics import RelPoint
 from waynet.monitor import ann_residual, fallback_accel, go
 from waynet.plan import curvature_through
 
@@ -34,23 +33,25 @@ class PdGains:
             raise ValueError("curvature_max must be positive")
 
 
-def bang_bang(rel: RelPoint, k_seg: float, eps: float, deadband: float,
+def bang_bang(x: float, y: float, k_seg: float, eps: float, deadband: float,
               k_max: float) -> float:
-    """Hard-left / hard-right steering around the declared segment curvature."""
+    """Hard-left / hard-right steering around the declared segment curvature,
+    toward the body-frame target (x, y)."""
     if not k_max > 0.0:
         raise ValueError("k_max must be positive")
-    e = ann_residual(rel.x, rel.y, k_seg, eps)
+    e = ann_residual(x, y, k_seg, eps)
     if abs(e) <= deadband:
         return k_seg
     return k_seg - math.copysign(k_max, e)
 
 
-def pd(rel: RelPoint, prev_e: float, dt: float, k_seg: float, eps: float,
+def pd(x: float, y: float, prev_e: float, dt: float, k_seg: float, eps: float,
        g: PdGains) -> float:
-    """Proportional-derivative steering on the band residual, clamped."""
+    """Proportional-derivative steering on the band residual toward the
+    body-frame target (x, y), clamped."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    e = ann_residual(rel.x, rel.y, k_seg, eps)
+    e = ann_residual(x, y, k_seg, eps)
     cmd = k_seg - (g.kp * e + g.kd * (e - prev_e) / dt)
     return min(g.curvature_max, max(-g.curvature_max, cmd))
 
@@ -92,12 +93,13 @@ def liveness_accel(v: float, vl: float, vh: float, A: float, B: float) -> float:
     return -B
 
 
-def declared_curvature(rel: RelPoint, k_seg: float, eps: float) -> float:
-    """Curvature declared to the monitor: the one that zeroes the annulus
-    residual when admissible, otherwise the segment's own curvature."""
-    d2 = rel.x * rel.x + rel.y * rel.y
+def declared_curvature(x: float, y: float, k_seg: float, eps: float) -> float:
+    """Curvature declared to the monitor for the body-frame target (x, y): the
+    one that zeroes the annulus residual when admissible, otherwise the
+    segment's own curvature."""
+    d2 = x * x + y * y
     if d2 > eps * eps:
-        k_star = curvature_through(rel, eps)
+        k_star = curvature_through(x, y, eps)
         if abs(k_star) * eps <= 1.0:
             return k_star
     return k_seg

@@ -18,18 +18,6 @@ from waynet.core import WorldPose
 
 
 @dataclass(frozen=True)
-class RelPoint:
-    """Waypoint position in the body frame."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"RelPoint must be finite, got ({self.x!r}, {self.y!r})")
-
-
-@dataclass(frozen=True)
 class Disturbance:
     """Actuation disturbance of the world-frame simulation.
 
@@ -75,8 +63,8 @@ def _arc_terms(u: float):
             u / 2.0 * (1.0 - u2 / 12.0 * (1.0 - u2 / 30.0)))
 
 
-def closed_form_relative(pt0: RelPoint, v0: float, a: float, k: float, t: float):
-    """Exact flow of the plant ODE for time t >= 0. Returns (RelPoint, v).
+def closed_form_relative(x: float, y: float, v0: float, a: float, k: float, t: float):
+    """Exact flow of the plant ODE for time t >= 0. Returns (x, y, v).
 
     Speed is linear in time until the v = 0 event; the arc length drives a
     pure translation (k = 0) or a rotation about (0, 1/k) (k != 0).
@@ -85,11 +73,10 @@ def closed_form_relative(pt0: RelPoint, v0: float, a: float, k: float, t: float)
         raise ValueError(f"closed_form_relative requires t >= 0, got {t!r}")
     v, s = _travel(v0, a, t)
     if k == 0.0:
-        return RelPoint(pt0.x - s, pt0.y), v
+        return x - s, y, v
     # Rotation about (0, 1/k) by -k s.
     c, sn, sinc, hvc = _arc_terms(k * s)
-    x, y = pt0.x, pt0.y
-    return RelPoint(x * c + y * sn - s * sinc, y * c - x * sn + s * hvc), v
+    return x * c + y * sn - s * sinc, y * c - x * sn + s * hvc, v
 
 
 def arc_step(pose: WorldPose, v: float, k: float, a: float, dt: float):
@@ -154,9 +141,9 @@ def actuated(k_cmd: float, a_cmd: float, dist: Disturbance):
     return k_act, a_act
 
 
-def to_relative(pose: WorldPose, world_pt) -> RelPoint:
-    """Express a world point in the body frame: forward = +x, left = +y."""
+def to_relative(pose: WorldPose, world_pt):
+    """A world point in the body frame, as (x, y): forward = +x, left = +y."""
     dx = world_pt[0] - pose.x
     dy = world_pt[1] - pose.y
     c, s = math.cos(pose.heading), math.sin(pose.heading)
-    return RelPoint(c * dx + s * dy, -s * dx + c * dy)
+    return c * dx + s * dy, -s * dx + c * dy

@@ -25,15 +25,14 @@ import random
 from dataclasses import dataclass
 
 from waynet.core import Params, RelWaypoint
-from waynet.dynamics import (Disturbance, RelPoint, actuated, arc_step, goal_span,
-                             to_relative)
+from waynet.dynamics import Disturbance, actuated, arc_step, goal_span, to_relative
 from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
 from waynet.monitor import (PASS, Clause, MonitorVerdict, ann_residual, controller_monitor,
                             fallback_accel, plant_monitor)
 from waynet.controllers import (PdGains, bang_bang, choose_accel, declared_curvature,
                                 liveness_accel, pd)
-from waynet.plan import (DeadEnd, PlanGraph, deterministic_first, gen_environment,
-                         initial_state, next_target, seeded_random)
+from waynet.plan import (DeadEnd, PlanGraph, deterministic_first, initial_state,
+                         next_target, seeded_random)
 from waynet.plan import DEFAULT_SCALES  # re-exported: each built-in course's scale (m)
 
 DEFAULT_PARAMS = Params(accel_max=3.0, brake_max=3.0, cycle_max=0.5, tol=1.0)
@@ -65,8 +64,8 @@ CONTROLLERS = tuple(PROFILES)
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    environment: str | None = "rect"     # course label; builds the course when plan is None
-    plan: PlanGraph | None = None
+    plan: PlanGraph
+    environment: str = "plan"            # course label in reports
     controller: str = "pd1"
     params: Params = DEFAULT_PARAMS
     disturbance: Disturbance = Disturbance()
@@ -83,13 +82,8 @@ class EpisodeConfig:
         if self.controller not in PROFILES:
             raise ValueError(f"unknown controller {self.controller!r} "
                              f"(choose from {sorted(PROFILES)})")
-        if self.environment is None and self.plan is None:
-            raise ValueError("either environment or plan must be given")
         if self.branch not in ("first", "random"):
             raise ValueError(f"branch must be 'first' or 'random', got {self.branch!r}")
-
-    def resolve_plan(self) -> PlanGraph:
-        return self.plan or gen_environment(self.environment)
 
 
 @dataclass(frozen=True)
@@ -157,21 +151,21 @@ def _gate(wp: RelWaypoint, v: float, a: float, p: Params,
     return verdict
 
 
-def _steering(profile: ControllerProfile, rel: RelPoint, k_seg: float,
-              k_decl: float, v: float, p: Params, prev_e: float):
-    """Steering command and updated residual memory for one cycle."""
+def _steering(profile: ControllerProfile, wp: RelWaypoint, k_decl: float, v: float,
+              p: Params, prev_e: float):
+    """Steering command toward wp and updated residual memory for one cycle."""
     eps = p.tol
     if profile.kind == "bangbang":  # deadband: a fifth of the goal radius
-        return bang_bang(rel, k_seg, eps, 0.2 * eps, profile.k_max), 0.0
+        return bang_bang(wp.x, wp.y, wp.k, eps, 0.2 * eps, profile.k_max), 0.0
     if profile.kind == "pd":
         # Gain scheduling: the band residual's per-cycle sensitivity to a
         # curvature change grows like v*x*T, so normalize the gains by it to
         # keep the discrete loop stable across course scales and speeds.
-        scale = 1.0 + v * max(rel.x, 0.0) * p.cycle_max
+        scale = 1.0 + v * max(wp.x, 0.0) * p.cycle_max
         gains = PdGains(kp=profile.kp / scale, kd=profile.kd / scale,
                         curvature_max=profile.k_max)
-        cmd = pd(rel, prev_e, p.cycle_max, k_seg, eps, gains)
-        return cmd, ann_residual(rel.x, rel.y, k_seg, eps)
+        cmd = pd(wp.x, wp.y, prev_e, p.cycle_max, wp.k, eps, gains)
+        return cmd, ann_residual(wp.x, wp.y, wp.k, eps)
     # liveness and adversarial steer the declared (residual-zeroing) curvature.
     return k_decl, 0.0
 
@@ -179,7 +173,7 @@ def _steering(profile: ControllerProfile, rel: RelPoint, k_seg: float,
 def run_episode(cfg: EpisodeConfig):
     """Run one monitored episode. Returns (EpisodeReport, list[LogRow])."""
     p = cfg.params
-    graph = cfg.resolve_plan()
+    graph = cfg.plan
     profile = PROFILES[cfg.controller]
     rng = random.Random(cfg.seed)
     policy = seeded_random(rng.randrange(2**32)) if cfg.branch == "random" \
@@ -215,8 +209,7 @@ def run_episode(cfg: EpisodeConfig):
                 break
         reached_hint = False
         wp_seg = target.waypoint
-        rel = RelPoint(wp_seg.x, wp_seg.y)
-        k_decl = declared_curvature(rel, wp_seg.k, eps)
+        k_decl = declared_curvature(wp_seg.x, wp_seg.y, wp_seg.k, eps)
         wp_decl = RelWaypoint(wp_seg.x, wp_seg.y, k_decl, wp_seg.vl, wp_seg.vh)
 
         # Untrusted proposal.
@@ -227,7 +220,7 @@ def run_episode(cfg: EpisodeConfig):
         else:
             target_speed = wp_seg.vl + profile.speed_frac * (wp_seg.vh - wp_seg.vl)
             a_prop = choose_accel(wp_decl, v, p, target_speed)
-        k_steer, prev_e = _steering(profile, rel, wp_seg.k, k_decl, v, p, prev_e)
+        k_steer, prev_e = _steering(profile, wp_seg, k_decl, v, p, prev_e)
 
         # Gate the proposal; fall back on rejection or on a pending plant failure.
         if pending_fallback:
@@ -270,7 +263,9 @@ def run_episode(cfg: EpisodeConfig):
 
         # Plant monitor against the in-force target; next_target reuses rel2.
         rel2 = to_relative(new_pose, inforce_world)
-        wp2 = RelWaypoint(rel2.x, rel2.y, inforce_k, inforce_vl, inforce_vh)
+        if not (math.isfinite(rel2[0]) and math.isfinite(rel2[1])):
+            raise ValueError(f"cycle {cycles}: vehicle state overflowed; a parameter is too large")
+        wp2 = RelWaypoint(*rel2, inforce_k, inforce_vl, inforce_vh)
         plant_verdict = plant_monitor(wp2, vv, dt, p)
         if not plant_verdict.passed:
             plant_failures += 1
@@ -313,7 +308,7 @@ def run_episode(cfg: EpisodeConfig):
         safety_violations=safety_violations,
         fallback_engagements=fallback_engagements,
         below_vl_at_goal=below_vl_at_goal,
-        environment=cfg.environment or "plan",
+        environment=cfg.environment,
         controller=cfg.controller,
         seed=cfg.seed,
     )

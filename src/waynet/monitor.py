@@ -1,5 +1,5 @@
 """Monitor formulas: annulus membership, feasibility, admissibility, the loop
-invariant, controller/plant monitors, the braking fallback, and the 1D toy monitor.
+invariant, controller/plant monitors, and the braking fallback.
 
 All comparisons follow the model formulas exactly: the annulus band is
 strict <, the distance clauses are non-strict <=. Clause evaluation order is
@@ -198,45 +198,3 @@ def fallback_accel(v: float, p: Params) -> float:
     if v < 0.0:
         raise ValueError(f"fallback_accel requires v >= 0, got {v!r}")
     return max(-p.brake_max, -v / p.cycle_max)
-
-
-@dataclass(frozen=True)
-class Toy1DState:
-    """1D idealized driving: distance d to the destination, maximum speed V,
-    and maximum cycle duration T."""
-
-    d: float
-    V: float
-    T: float
-
-    def __post_init__(self):
-        if self.V < 0.0:
-            raise ValueError(f"Toy1DState.V must be non-negative, got {self.V!r}")
-        if self.T < 0.0:
-            raise ValueError(f"Toy1DState.T must be non-negative, got {self.T!r}")
-
-
-def monitor_1d(s: Toy1DState, proposed_v: float) -> bool:
-    """1D monitor: drive at proposed_v in [0, V] only when far enough
-    (d >= T V); stopping is always allowed."""
-    if proposed_v == 0.0:
-        return True
-    return s.d >= s.T * s.V and 0.0 <= proposed_v <= s.V
-
-
-def simulate_1d(d0: float, V: float, T: float, proposals, monitored: bool = True):
-    """Run the 1D episode: each cycle a proposed speed is gated by monitor_1d
-    (substituting the stop fallback on rejection, when monitored) and distance
-    decreases for a full cycle. Returns the list of distances after each cycle.
-
-    ``proposals`` yields (proposed_v, cycle_duration) pairs with duration <= T.
-    """
-    d = d0
-    trace = [d]
-    for proposed_v, dt in proposals:
-        s = Toy1DState(d=d, V=V, T=T)
-        if monitored and not monitor_1d(s, proposed_v):
-            proposed_v = 0.0
-        d -= proposed_v * dt
-        trace.append(d)
-    return trace

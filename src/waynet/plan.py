@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from waynet.core import Params, RelWaypoint, WorldPose, euclid_norm
-from waynet.dynamics import RelPoint, to_relative
+from waynet.dynamics import to_relative
 
 CO_CIRCULAR_RTOL = 1e-6
 
@@ -83,7 +83,9 @@ class PlanGraph:
         for i, e in enumerate(self.edges):
             a, b = self.nodes[e.frm], self.nodes[e.to]
             geom = arc_geometry(a.x, a.y, b.x, b.y, e.k) if e.kind == "arc" else None
-            segments.append(Segment(a, b, e.k if geom is not None else 0.0, geom))
+            ux, uy = b.x - a.x, b.y - a.y
+            segments.append(Segment(a, b, e.k if geom is not None else 0.0, geom,
+                                    math.hypot(ux, uy), ux * ux + uy * uy))
             successors.setdefault(e.frm, []).append(i)
         object.__setattr__(self, "segments", tuple(segments))
         object.__setattr__(self, "_successors",
@@ -125,6 +127,8 @@ class PlanGraph:
                         f"fit on a circle of radius {radius:g} m")
             elif e.kind != "line":
                 raise PlanError(f"edge {e.frm!r}->{e.to!r}: unknown kind {e.kind!r}")
+        if not any(e.frm == self.start for e in self.edges):
+            raise PlanError(f"start node {self.start!r} has no outgoing edges")
 
 
 def parse_plan(text: str) -> PlanGraph:
@@ -238,12 +242,14 @@ def arc_heading(geom: ArcGeometry, frac: float) -> float:
 @dataclass(frozen=True)
 class Segment:
     """One compiled plan edge: its end nodes, its signed curvature (0 for
-    lines) and, for arcs, the arc's geometry."""
+    lines), for arcs the arc's geometry, and the chord from a to b."""
 
     a: Node
     b: Node
     k: float
     geom: ArcGeometry | None
+    chord: float     # |b - a|, a line's length
+    chord2: float    # chord squared
 
     def point(self, frac: float):
         """World point at fraction frac in [0, 1] along the segment."""
@@ -258,11 +264,9 @@ class Segment:
         geom = self.geom
         if geom is None:
             a, b = self.a, self.b
-            ux, uy = b.x - a.x, b.y - a.y
-            L2 = ux * ux + uy * uy
-            if L2 == 0.0:
+            if self.chord2 == 0.0:
                 return 1.0
-            t = ((pose.x - a.x) * ux + (pose.y - a.y) * uy) / L2
+            t = ((pose.x - a.x) * (b.x - a.x) + (pose.y - a.y) * (b.y - a.y)) / self.chord2
             return min(1.0, max(0.0, t))
         theta = math.atan2(pose.y - geom.cy, pose.x - geom.cx)
         if geom.sweep == 0.0:
@@ -280,15 +284,15 @@ class Segment:
 # Active target extraction
 
 
-def curvature_through(rel: RelPoint, eps: float) -> float:
-    """Curvature whose arc through the body-frame point zeroes the annulus
-    residual: k* = 2 y / (x^2 + y^2 - eps^2). Requires the point outside the
-    goal region."""
-    d2 = rel.x * rel.x + rel.y * rel.y
+def curvature_through(x: float, y: float, eps: float) -> float:
+    """Curvature whose arc through the body-frame point (x, y) zeroes the
+    annulus residual: k* = 2 y / (x^2 + y^2 - eps^2). Requires the point
+    outside the goal region."""
+    d2 = x * x + y * y
     if not d2 > eps * eps:
         raise ValueError(f"curvature_through requires the point outside the goal "
                          f"region (got distance {math.sqrt(d2):g} <= eps={eps:g})")
-    return 2.0 * rel.y / (d2 - eps * eps)
+    return 2.0 * y / (d2 - eps * eps)
 
 
 @dataclass(frozen=True)
@@ -317,10 +321,7 @@ def initial_state(graph: PlanGraph, p: Params, branch_policy=deterministic_first
     branch policy), the start speed (the edge's lower limit, so the robot
     starts inside it) and the first active target. Returns
     (WorldPose, v, ActiveTarget)."""
-    choices = graph.successors(graph.start)
-    if not choices:
-        raise PlanError(f"start node {graph.start!r} has no outgoing edges")
-    edge_index = branch_policy(graph.start, choices)
+    edge_index = branch_policy(graph.start, graph.successors(graph.start))
     seg = graph.segments[edge_index]
     a, b = seg.a, seg.b
     heading = math.atan2(b.y - a.y, b.x - a.x) if seg.geom is None else arc_heading(seg.geom, 0.0)
@@ -349,7 +350,7 @@ def _target_candidate(seg: Segment, pose: WorldPose, lookahead: float):
     ``lookahead`` meters of path ahead of the robot's projection (arcs are
     additionally capped at 90 degrees of remaining sweep), and pushed ahead of
     the robot (x > 0) when it has drifted past. Returns (target, frac, rel)
-    with rel the target in the body frame."""
+    with rel the target's body-frame (x, y)."""
     here = seg.fraction(pose)
     geom = seg.geom
     if geom is not None:
@@ -357,24 +358,23 @@ def _target_candidate(seg: Segment, pose: WorldPose, lookahead: float):
         frac = min(1.0, here + max_sweep / abs(geom.sweep))
         target = seg.point(frac)
         rel = to_relative(pose, target)
-        if rel.x <= 0.0 and frac > here:
+        if rel[0] <= 0.0 and frac > here:
             # Drifted past the capped target: re-aim at half the cap ahead.
             frac = min(1.0, here + max_sweep / 2.0 / abs(geom.sweep))
             target = seg.point(frac)
             rel = to_relative(pose, target)
     else:
-        length = math.hypot(seg.b.x - seg.a.x, seg.b.y - seg.a.y)
-        frac = min(1.0, here + lookahead / length) if length > 0.0 else 1.0
+        frac = min(1.0, here + lookahead / seg.chord) if seg.chord > 0.0 else 1.0
         target = seg.point(frac)
         rel = to_relative(pose, target)
-    if rel.x <= 0.0:
+    if rel[0] <= 0.0:
         # Synthetic target: the first of 16 samples ahead on the segment with
         # x > 0, else the end node.
         for step in range(1, 17):
             frac = here + (1.0 - here) * step / 16.0
             target = seg.point(frac)
             rel = to_relative(pose, target)
-            if rel.x > 0.0:
+            if rel[0] > 0.0:
                 break
         else:
             frac, target = 1.0, seg.point(1.0)
@@ -388,18 +388,18 @@ def target_for_edge(graph: PlanGraph, edge_index: int, pose: WorldPose,
     ``lookahead`` meters of path ahead (``math.inf``: no cap but the arc's)."""
     seg = graph.segments[edge_index]
     target, frac, rel = _target_candidate(seg, pose, lookahead)
-    wp = RelWaypoint(rel.x, rel.y, seg.k, seg.b.vl, seg.b.vh)
+    wp = RelWaypoint(rel[0], rel[1], seg.k, seg.b.vl, seg.b.vh)
     return ActiveTarget(edge_index=edge_index, target_world=target, frac=frac, waypoint=wp)
 
 
-def next_target(graph: PlanGraph, current: ActiveTarget, pose: WorldPose,
-                rel: RelPoint, v: float, p: Params, branch_policy=deterministic_first,
+def next_target(graph: PlanGraph, current: ActiveTarget, pose: WorldPose, rel,
+                v: float, p: Params, branch_policy=deterministic_first,
                 reached_hint: bool = False) -> ActiveTarget:
     """Advance or keep the active target and recompute its body-frame view,
     looking ahead by ``_lookahead`` of the speed v.
 
-    ``rel`` is ``current.target_world`` in the body frame of ``pose``; the
-    harness has it from the plant monitor's check of the in-force target.
+    ``rel`` is ``current.target_world``'s (x, y) in the body frame of ``pose``;
+    the harness has it from the plant monitor's check of the in-force target.
     ``reached_hint`` marks that the vehicle's arc passed through the target's
     goal region between cycle boundaries; an end node just behind the robot
     (within 3 goal radii or one cycle of travel at v) also counts as reached.
@@ -407,12 +407,13 @@ def next_target(graph: PlanGraph, current: ActiveTarget, pose: WorldPose,
     (completed) or has no successors (stuck).
     """
     edge_index = current.edge_index
-    dist = euclid_norm(rel.x, rel.y)
+    rx, ry = rel
+    dist = euclid_norm(rx, ry)
     reached = reached_hint or dist <= p.tol
     # frac accumulates sub-ulp rounding; treat within 1e-9 of 1 as the end.
     at_end = current.frac >= 1.0 - 1e-9
     slop = max(3.0 * p.tol, v * p.cycle_max)
-    if at_end and rel.x <= 0.0 and dist <= slop:
+    if at_end and rx <= 0.0 and dist <= slop:
         reached = True  # narrowly overshot the end node; advance, not stall
     if reached and at_end:
         node = graph.edges[edge_index].to

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from waynet.core import Params, RelWaypoint, euclid_norm, inf_norm
-from waynet.dynamics import RelPoint, closed_form_relative
+from waynet.dynamics import closed_form_relative
 from waynet.monitor import feas, go, invariant_j
 from waynet.plan import curvature_through
 
@@ -77,7 +77,7 @@ def _sample_waypoint_geometry(rng: random.Random, eps: float):
     ang = rng.uniform(-math.pi / 3.0, math.pi / 3.0)
     x = dist * math.cos(ang)
     y = dist * math.sin(ang)
-    k = curvature_through(RelPoint(x, y), eps)
+    k = curvature_through(x, y, eps)
     if abs(k) * eps > 1.0:
         return None
     return x, y, k
@@ -116,9 +116,8 @@ def sample_compliant_state(rng: random.Random, seed: int = 0,
 
 
 def _flow(sample: StateSample, t: float):
-    pt, v = closed_form_relative(RelPoint(sample.wp.x, sample.wp.y),
-                                 sample.v, sample.a, sample.wp.k, t)
-    return pt, v
+    return closed_form_relative(sample.wp.x, sample.wp.y, sample.v, sample.a,
+                                sample.wp.k, t)
 
 
 def check_invariant_preservation(n: int = 10_000, seed: int = 0) -> CheckReport:
@@ -134,8 +133,8 @@ def check_invariant_preservation(n: int = 10_000, seed: int = 0) -> CheckReport:
         T = sample.p.cycle_max
         for j in range(TIME_POINTS):
             t = T * j / (TIME_POINTS - 1)
-            pt, v = _flow(sample, t)
-            wp_t = RelWaypoint(pt.x, pt.y, sample.wp.k, sample.wp.vl, sample.wp.vh)
+            x, y, v = _flow(sample, t)
+            wp_t = RelWaypoint(x, y, sample.wp.k, sample.wp.vl, sample.wp.vh)
             verdict = invariant_j(wp_t, v, sample.p, slack=DEFAULT_SLACK)
             if not verdict.passed:
                 violations.append(Violation(sample, t, f"J fails: {verdict.failed_clause.value}"))
@@ -149,9 +148,12 @@ PROGRESS_CASES = ("speedup", "cruise", "slowdown")
 def check_progress(case: str, n: int = 1_000, seed: int = 0) -> CheckReport:
     """The case's progress function must strictly decrease along the exact
     flow while outside the case's target set; the minimum per-cycle decrease
-    is reported in the note."""
+    is reported in the note. The report counts draws: one outside the case's
+    precondition is skipped, not flowed, but still counts toward n."""
     if case not in PROGRESS_CASES:
         raise ValueError(f"unknown case {case!r} (choose from {PROGRESS_CASES})")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     violations = []
     min_decrease = math.inf
@@ -169,7 +171,7 @@ def check_progress(case: str, n: int = 1_000, seed: int = 0) -> CheckReport:
             sample = StateSample(wp, v, a, p, i)
             horizon = (wp.vl - v) / a
 
-            def g(pt, vt):
+            def g(x, y, vt):
                 return wp.vl - vt
         elif case == "slowdown":
             v = rng.uniform(wp.vh * 1.001, SPEED_MAX + 5.0)
@@ -179,7 +181,7 @@ def check_progress(case: str, n: int = 1_000, seed: int = 0) -> CheckReport:
             sample = StateSample(wp, v, a, p, i)
             horizon = (v - wp.vh) / p.brake_max
 
-            def g(pt, vt):
+            def g(x, y, vt):
                 return vt - wp.vh
         else:
             v = rng.uniform(wp.vl, wp.vh)
@@ -189,16 +191,14 @@ def check_progress(case: str, n: int = 1_000, seed: int = 0) -> CheckReport:
             # Cruise to the goal region along the declared arc.
             horizon = 4.0 * euclid_norm(wp.x, wp.y) / v
 
-            def g(pt, vt):
-                return pt.x * pt.x + pt.y * pt.y - p.tol * p.tol
+            def g(x, y, vt):
+                return x * x + y * y - p.tol * p.tol
 
-        pt0, v0 = _flow(sample, 0.0)
-        prev = g(pt0, v0)
+        prev = g(*_flow(sample, 0.0))
         prev_t = older_t = 0.0
         for j in range(1, TIME_POINTS + 1):
             t = horizon * j / TIME_POINTS
-            pt, vt = _flow(sample, t)
-            value = g(pt, vt)
+            value = g(*_flow(sample, t))
             if value >= prev:
                 # The goal trough can be narrower than the sampling step:
                 # refine before declaring non-monotonicity.
@@ -248,6 +248,8 @@ def go_oracle(n: int = 10_000, seed: int = 0) -> CheckReport:
     upper limit, holding the accepted acceleration for one cycle and then
     braking at the maximum rate must restore the limit before the traveled
     distance exhausts the waypoint gap (minus the goal radius)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     violations = []
     for i in range(n):

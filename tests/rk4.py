@@ -5,18 +5,18 @@ the inverse of the body-frame transform."""
 import math
 
 from waynet.core import WorldPose
-from waynet.dynamics import RelPoint
 
 
-def from_relative(pose: WorldPose, rel: RelPoint):
-    """Inverse of to_relative: body-frame point back to world coordinates."""
+def from_relative(pose: WorldPose, rel):
+    """Inverse of to_relative: body-frame (x, y) back to world coordinates."""
+    x, y = rel
     c, s = math.cos(pose.heading), math.sin(pose.heading)
-    return (pose.x + c * rel.x - s * rel.y, pose.y + s * rel.x + c * rel.y)
+    return (pose.x + c * x - s * y, pose.y + s * x + c * y)
 
 
-def plant_derivative(pt: RelPoint, v: float, a: float, k: float):
-    """Body-frame plant ODE right-hand side: (dx, dy, dv, dt)."""
-    return (v * (k * pt.y - 1.0), -v * k * pt.x, a, 1.0)
+def plant_derivative(x: float, y: float, v: float, a: float, k: float):
+    """Body-frame plant ODE right-hand side at (x, y): (dx, dy, dv, dt)."""
+    return (v * (k * y - 1.0), -v * k * x, a, 1.0)
 
 
 def _stop_time(v0: float, a: float, t: float) -> float:
@@ -26,19 +26,19 @@ def _stop_time(v0: float, a: float, t: float) -> float:
     return t
 
 
-def step_relative(pt: RelPoint, v: float, a: float, k: float, dt: float,
+def step_relative(x: float, y: float, v: float, a: float, k: float, dt: float,
                   substeps: int = 20):
-    """Classical RK4 integration of the plant ODE over dt with the v = 0 event
-    handled analytically. Returns (RelPoint, v)."""
+    """Classical RK4 integration of the plant ODE over dt from the body-frame
+    point (x, y), with the v = 0 event handled analytically. Returns
+    (x, y, v)."""
     if dt < 0.0:
         raise ValueError(f"step_relative requires dt >= 0, got {dt!r}")
     if substeps < 1:
         raise ValueError(f"step_relative requires substeps >= 1, got {substeps}")
     td = _stop_time(v, a, dt)
     if td <= 0.0:
-        return pt, max(0.0, v)
+        return x, y, max(0.0, v)
     h = td / substeps
-    x, y = pt.x, pt.y
 
     def deriv(x, y, v):
         return v * (k * y - 1.0), -v * k * x
@@ -53,4 +53,4 @@ def step_relative(pt: RelPoint, v: float, a: float, k: float, dt: float,
         k4x, k4y = deriv(x + h * k3x, y + h * k3y, ve)
         x += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return RelPoint(x, y), max(0.0, v + a * td)
+    return x, y, max(0.0, v + a * td)

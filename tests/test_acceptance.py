@@ -11,18 +11,19 @@ import pytest
 from waynet.cli import main as cli_main
 from waynet.controllers import declared_curvature, liveness_accel
 from waynet.core import Params, RelWaypoint, WorldPose, euclid_norm, inf_norm
-from waynet.dynamics import (Disturbance, RelPoint, arc_step, closed_form_relative,
-                             to_relative)
+from waynet.dynamics import Disturbance, arc_step, closed_form_relative, to_relative
 from waynet.harness import EpisodeConfig, run_episode
 from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
-from waynet.monitor import (controller_monitor, fallback_accel, monitor_1d,
-                            simulate_1d, Toy1DState)
+from waynet.monitor import controller_monitor, fallback_accel
+from waynet.plan import gen_environment
 from waynet.verify import (PROGRESS_CASES, check_invariant_preservation,
                            check_progress, go_oracle, sample_compliant_state)
 
 from rk4 import from_relative, step_relative
+from toy1d import simulate_1d
 
 ENVS = ("rect", "turns", "clover")
+COURSES = {env: gen_environment(env) for env in ENVS}
 
 
 def _grid_seed(base: int, env: str, controller: str, index: int) -> int:
@@ -42,7 +43,7 @@ def test_criterion_1_safety_under_disturbance():
     for env in ENVS:
         for controller in ("pd1", "liveness"):
             for i in range(1000):
-                cfg = EpisodeConfig(environment=env, controller=controller,
+                cfg = EpisodeConfig(COURSES[env], env, controller=controller,
                                     disturbance=disturbance,
                                     seed=_grid_seed(0, env, controller, i),
                                     collect_log=False)
@@ -61,12 +62,10 @@ def test_criterion_2_monitor_necessity():
     unmonitored = 0
     monitored = 0
     for seed in range(3):
-        rep_off, _ = run_episode(EpisodeConfig(environment="rect",
-                                               controller="adversarial",
+        rep_off, _ = run_episode(EpisodeConfig(COURSES["rect"], controller="adversarial",
                                                monitoring=False, seed=seed,
                                                collect_log=False))
-        rep_on, _ = run_episode(EpisodeConfig(environment="rect",
-                                              controller="adversarial",
+        rep_on, _ = run_episode(EpisodeConfig(COURSES["rect"], controller="adversarial",
                                               seed=seed, collect_log=False))
         unmonitored += rep_off.safety_violations
         monitored += rep_on.safety_violations
@@ -92,14 +91,14 @@ def _pursue(sample):
     Returns (reached inside [vl, vh], cycles used, cycle budget)."""
     wp0, v, p = sample.wp, sample.v, sample.p
     vl, vh, T, eps = wp0.vl, wp0.vh, p.cycle_max, p.tol
-    rel = RelPoint(wp0.x, wp0.y)
-    budget = int(10.0 * inf_norm(rel.x, rel.y) / (vl * T)) + 1
-    prev_dist = euclid_norm(rel.x, rel.y)
+    x, y = wp0.x, wp0.y
+    budget = int(10.0 * inf_norm(x, y) / (vl * T)) + 1
+    prev_dist = euclid_norm(x, y)
     for cycle in range(budget):
-        if euclid_norm(rel.x, rel.y) <= eps:
+        if euclid_norm(x, y) <= eps:
             return vl <= v <= vh, cycle, budget
-        k = declared_curvature(rel, 0.0, eps)
-        wp = RelWaypoint(rel.x, rel.y, k, vl, vh)
+        k = declared_curvature(x, y, 0.0, eps)
+        wp = RelWaypoint(x, y, k, vl, vh)
         a = liveness_accel(v, vl, vh, p.accel_max, p.brake_max)
         if not controller_monitor(wp, v, a, p):
             a = fallback_accel(v, p)
@@ -107,11 +106,11 @@ def _pursue(sample):
         travel = v * T + abs(a) * T * T / 2.0
         steps = max(1, min(200, int(math.ceil(travel / (0.3 * eps)))))
         for j in range(1, steps + 1):
-            pt, vt = closed_form_relative(rel, v, a, k, T * j / steps)
-            if euclid_norm(pt.x, pt.y) <= eps:
+            xt, yt, vt = closed_form_relative(x, y, v, a, k, T * j / steps)
+            if euclid_norm(xt, yt) <= eps:
                 return vl <= vt <= vh, cycle, budget
-        rel, v = closed_form_relative(rel, v, a, k, T)
-        dist = euclid_norm(rel.x, rel.y)
+        x, y, v = closed_form_relative(x, y, v, a, k, T)
+        dist = euclid_norm(x, y)
         assert dist < prev_dist, "pursuit made no progress"
         prev_dist = dist
     return False, budget, budget
@@ -147,25 +146,25 @@ def test_criterion_5_radius_conservation():
     for _ in range(10_000):
         pose, v, _ = arc_step(pose, v, k, 0.0, dt)
     assert abs(math.hypot(pose.x, pose.y - cy) - cy) / cy <= 1e-6
-    pt, v = RelPoint(3.0, -1.0), 2.0
-    r0 = math.hypot(pt.x, pt.y - cy)
+    x, y, v = 3.0, -1.0, 2.0
+    r0 = math.hypot(x, y - cy)
     for _ in range(10_000):
-        pt, v = closed_form_relative(pt, v, 0.0, k, dt)
-    assert abs(math.hypot(pt.x, pt.y - cy) - r0) / r0 <= 1e-6
+        x, y, v = closed_form_relative(x, y, v, 0.0, k, dt)
+    assert abs(math.hypot(x, y - cy) - r0) / r0 <= 1e-6
 
 
 def test_criterion_5_rk4_vs_closed_form():
     rng = random.Random(17)
     for _ in range(200):
-        pt0 = RelPoint(rng.uniform(-5.0, 15.0), rng.uniform(-5.0, 5.0))
+        x0, y0 = rng.uniform(-5.0, 15.0), rng.uniform(-5.0, 5.0)
         v0 = rng.uniform(0.0, 10.0)
         a = rng.uniform(-2.0, 2.0)
         k = rng.uniform(-1.0, 1.0)
         dt = 1e-3
         arc = v0 * dt + a * dt * dt / 2.0
-        exact, _ = closed_form_relative(pt0, v0, a, k, dt)
-        approx, _ = step_relative(pt0, v0, a, k, dt, substeps=1)
-        err = math.hypot(exact.x - approx.x, exact.y - approx.y)
+        ex, ey, _ = closed_form_relative(x0, y0, v0, a, k, dt)
+        rx, ry, _ = step_relative(x0, y0, v0, a, k, dt, substeps=1)
+        err = math.hypot(ex - rx, ey - ry)
         assert err <= 1e-8 * max(abs(arc), 1e-9)
 
 
@@ -177,13 +176,12 @@ def test_criterion_5_frame_consistency():
         a = rng.uniform(-2.0, 2.0)
         k_cap = min(0.8, 2.0 / max(v, 0.1))
         k = rng.uniform(-k_cap, k_cap)
-        world_pt = from_relative(pose, RelPoint(rng.uniform(1, 10), rng.uniform(-3, 3)))
-        rel0 = to_relative(pose, world_pt)
+        world_pt = from_relative(pose, (rng.uniform(1, 10), rng.uniform(-3, 3)))
+        x0, y0 = to_relative(pose, world_pt)
         pose1, _, _ = arc_step(pose, v, k, a, dt=0.5)
-        rel_direct, _ = step_relative(rel0, v, a, k, 0.5)
-        rel_via_world = to_relative(pose1, world_pt)
-        assert math.hypot(rel_direct.x - rel_via_world.x,
-                          rel_direct.y - rel_via_world.y) <= 1e-6
+        x_direct, y_direct, _ = step_relative(x0, y0, v, a, k, 0.5)
+        x_world, y_world = to_relative(pose1, world_pt)
+        assert math.hypot(x_direct - x_world, y_direct - y_world) <= 1e-6
 
 
 # -- 6. Directional failure-rate ordering --------------------------------------
@@ -191,7 +189,7 @@ def test_criterion_5_frame_consistency():
 def _mean_rates(env, controller, episodes=10):
     pf = cf = 0.0
     for i in range(episodes):
-        rep, _ = run_episode(EpisodeConfig(environment=env, controller=controller,
+        rep, _ = run_episode(EpisodeConfig(COURSES[env], env, controller=controller,
                                            seed=_grid_seed(6, env, controller, i),
                                            collect_log=False))
         pf += rep.plant_fail_rate

@@ -59,6 +59,16 @@ def test_simulate_interval_mode_inf_limit_exits_2(tmp_path, capsys):
     assert "non-finite" in err
 
 
+def test_check_plan_start_without_outgoing_edge_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.plan"
+    bad.write_text("node a 0 0 0 1\nnode b 5 0 0 1\nedge b a line\nstart a\n")
+    for command in (["check-plan", str(bad)], ["simulate", "--plan", str(bad)]):
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert "start node 'a' has no outgoing edges" in err
+
+
 def test_check_plan_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "check-plan", "/nonexistent/x.plan")
     assert code == 2
@@ -115,6 +125,24 @@ def test_simulate_bad_disturbance_exits_2(capsys, value, reason):
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_simulate_rejects_episodes_below_1(capsys, episodes):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--episodes", episodes])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--episodes" in captured.err
+
+
+def test_simulate_overflowing_cycle_exits_2(capsys):
+    # One 1e308 s cycle drives the vehicle past the largest float.
+    code, out, err = run(capsys, "simulate", "--episodes", "1", "--cycle", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "overflowed" in err
+
+
 def test_simulate_with_plan_file(tmp_path, capsys):
     plan = tmp_path / "course.plan"
     run(capsys, "gen-env", "rect", "--scale", "30", "--out", str(plan))
@@ -165,6 +193,24 @@ def test_monitor_eval_on_produced_log(tmp_path, capsys):
     assert "pass:" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", [2, 5])  # X and v
+def test_monitor_eval_rejects_non_finite(tmp_path, capsys, column, value):
+    run(capsys, "simulate", "--env", "rect", "--controller", "liveness",
+        "--episodes", "1", "--max-cycles", "3", "--out", str(tmp_path))
+    log = tmp_path / "ep_rect_liveness_0000.csv"
+    lines = log.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields)
+    log.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "monitor-eval", str(log))
+    assert code == 2
+    assert out == ""
+    name = lines[0].split(",")[column]
+    assert f"{log}:3: non-finite {name}" in err
+
+
 def test_monitor_eval_rejects_garbage(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
     junk.write_text("not,a,log\n")
@@ -185,7 +231,12 @@ def test_verify_progress_single_case(capsys):
     assert "progress_slowdown" in out
 
 
-def test_bench_runs(capsys):
-    code, out, _ = run(capsys, "bench", "--n", "200")
-    assert code == 0
-    assert "point monitor" in out and "interval monitor" in out
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("check", ["invariant", "progress", "oracle", "all"])
+def test_verify_rejects_count_below_1(capsys, check, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", check, "--n", n])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n" in captured.err

@@ -6,7 +6,6 @@ import pytest
 from waynet.controllers import (PdGains, bang_bang, choose_accel, declared_curvature,
                                 liveness_accel, pd)
 from waynet.core import Params, RelWaypoint
-from waynet.dynamics import RelPoint
 from waynet.monitor import ann_residual, fallback_accel, go
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
@@ -27,44 +26,44 @@ class TestCrossTrack:
 
 class TestBangBang:
     def test_deadband_keeps_segment_curvature(self):
-        assert bang_bang(RelPoint(5.0, 0.05), 0.0, eps=1.0, deadband=0.1,
+        assert bang_bang(5.0, 0.05, 0.0, eps=1.0, deadband=0.1,
                          k_max=0.8) == 0.0
 
     def test_positive_residual_steers_right(self):
         # e = -y = +0.5 for a waypoint to the right: reduce curvature.
-        rel = RelPoint(5.0, -0.5)
-        assert ann_residual(rel.x, rel.y, 0.0, 1.0) == pytest.approx(0.5)
-        assert bang_bang(rel, 0.0, eps=1.0, deadband=0.1, k_max=0.8) == \
+        x, y = 5.0, -0.5
+        assert ann_residual(x, y, 0.0, 1.0) == pytest.approx(0.5)
+        assert bang_bang(x, y, 0.0, eps=1.0, deadband=0.1, k_max=0.8) == \
             pytest.approx(-0.8)
 
     def test_negative_residual_steers_left(self):
-        rel = RelPoint(5.0, 0.5)
-        assert bang_bang(rel, 0.0, eps=1.0, deadband=0.1, k_max=0.8) == \
+        x, y = 5.0, 0.5
+        assert bang_bang(x, y, 0.0, eps=1.0, deadband=0.1, k_max=0.8) == \
             pytest.approx(0.8)
 
     def test_offsets_from_segment_curvature(self):
-        assert bang_bang(RelPoint(5.0, -0.5), 0.3, eps=1.0, deadband=0.1,
+        assert bang_bang(5.0, -0.5, 0.3, eps=1.0, deadband=0.1,
                          k_max=0.8) == pytest.approx(0.3 - 0.8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bang_bang(RelPoint(5.0, 0.0), 0.0, eps=1.0, deadband=0.1, k_max=0.0)
+            bang_bang(5.0, 0.0, 0.0, eps=1.0, deadband=0.1, k_max=0.0)
 
 
 class TestPd:
     def test_reference_step(self):
         # e = -y = 0.2, prev 0.1, dt 0.1: cmd = -(0.5*0.2 + 0.05*1.0) = -0.15
         g = PdGains(kp=0.5, kd=0.05, curvature_max=1.0)
-        rel = RelPoint(5.0, -0.2 - 0.0)
-        e = ann_residual(rel.x, rel.y, 0.0, eps=1.0)
+        x, y = 5.0, -0.2 - 0.0
+        e = ann_residual(x, y, 0.0, eps=1.0)
         assert e == pytest.approx(0.2)
-        assert pd(rel, prev_e=0.1, dt=0.1, k_seg=0.0, eps=1.0, g=g) == \
+        assert pd(x, y, prev_e=0.1, dt=0.1, k_seg=0.0, eps=1.0, g=g) == \
             pytest.approx(-0.15)
 
     def test_clamped(self):
         g = PdGains(kp=10.0, kd=0.0, curvature_max=0.4)
-        assert pd(RelPoint(5.0, -2.0), 0.0, 0.1, 0.0, 1.0, g) == -0.4
-        assert pd(RelPoint(5.0, 2.0), 0.0, 0.1, 0.0, 1.0, g) == 0.4
+        assert pd(5.0, -2.0, 0.0, 0.1, 0.0, 1.0, g) == -0.4
+        assert pd(5.0, 2.0, 0.0, 0.1, 0.0, 1.0, g) == 0.4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -73,7 +72,7 @@ class TestPd:
             PdGains(kp=0.1, kd=0.0, curvature_max=0.0)
         g = PdGains(0.5, 0.05, 1.0)
         with pytest.raises(ValueError):
-            pd(RelPoint(5.0, 0.0), 0.0, 0.0, 0.0, 1.0, g)
+            pd(5.0, 0.0, 0.0, 0.0, 0.0, 1.0, g)
 
 
 class TestChooseAccel:
@@ -127,15 +126,15 @@ class TestLivenessAccel:
 
 class TestDeclaredCurvature:
     def test_zeroes_residual_when_admissible(self):
-        rel = RelPoint(2.5, -3.0)
-        k = declared_curvature(rel, k_seg=0.1, eps=1.0)
-        assert ann_residual(rel.x, rel.y, k, 1.0) == pytest.approx(0.0, abs=1e-12)
+        x, y = 2.5, -3.0
+        k = declared_curvature(x, y, k_seg=0.1, eps=1.0)
+        assert ann_residual(x, y, k, 1.0) == pytest.approx(0.0, abs=1e-12)
         assert k == pytest.approx(-0.42105, abs=1e-5)
 
     def test_falls_back_when_scale_clause_would_fail(self):
         # Very close lateral point needs |k| eps > 1: keep the segment curvature.
-        rel = RelPoint(0.3, 1.0)
-        assert declared_curvature(rel, k_seg=0.2, eps=1.0) == 0.2
+        x, y = 0.3, 1.0
+        assert declared_curvature(x, y, k_seg=0.2, eps=1.0) == 0.2
 
     def test_inside_goal_region_keeps_segment(self):
-        assert declared_curvature(RelPoint(0.2, 0.1), k_seg=0.4, eps=1.0) == 0.4
+        assert declared_curvature(0.2, 0.1, k_seg=0.4, eps=1.0) == 0.4

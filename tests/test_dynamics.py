@@ -6,64 +6,63 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from waynet.core import WorldPose
-from waynet.dynamics import (Disturbance, RelPoint, actuated, arc_step,
-                             closed_form_relative, goal_span, to_relative)
+from waynet.dynamics import (Disturbance, actuated, arc_step, closed_form_relative,
+                             goal_span, to_relative)
 
 from rk4 import from_relative, plant_derivative, step_relative
 
 
 class TestPlantDerivative:
     def test_straight(self):
-        assert plant_derivative(RelPoint(5.0, 2.0), v=1.0, a=0.3, k=0.0) == \
+        assert plant_derivative(5.0, 2.0, v=1.0, a=0.3, k=0.0) == \
             (-1.0, 0.0, 0.3, 1.0)
 
     def test_curved(self):
-        dx, dy, dv, dt = plant_derivative(RelPoint(1.0, 1.0), v=1.0, a=0.0, k=1.0)
+        dx, dy, dv, dt = plant_derivative(1.0, 1.0, v=1.0, a=0.0, k=1.0)
         assert (dx, dy, dv, dt) == (0.0, -1.0, 0.0, 1.0)
 
     def test_stationary(self):
-        assert plant_derivative(RelPoint(3.0, -2.0), v=0.0, a=0.7, k=0.4) == \
+        assert plant_derivative(3.0, -2.0, v=0.0, a=0.7, k=0.4) == \
             (0.0, 0.0, 0.7, 1.0)
 
 
 class TestClosedForm:
     def test_straight_line(self):
-        pt, v = closed_form_relative(RelPoint(5.0, 2.0), v0=1.0, a=0.0, k=0.0, t=2.0)
-        assert (pt.x, pt.y, v) == pytest.approx((3.0, 2.0, 1.0))
+        x, y, v = closed_form_relative(5.0, 2.0, v0=1.0, a=0.0, k=0.0, t=2.0)
+        assert (x, y, v) == pytest.approx((3.0, 2.0, 1.0))
 
     def test_quarter_turn(self):
-        pt, v = closed_form_relative(RelPoint(1.0, 1.0), v0=1.0, a=0.0, k=1.0,
-                                     t=math.pi / 2.0)
-        assert (pt.x, pt.y) == pytest.approx((0.0, 0.0), abs=1e-12)
+        x, y, v = closed_form_relative(1.0, 1.0, v0=1.0, a=0.0, k=1.0, t=math.pi / 2.0)
+        assert (x, y) == pytest.approx((0.0, 0.0), abs=1e-12)
         assert v == 1.0
 
     def test_stop_event(self):
-        pt, v = closed_form_relative(RelPoint(5.0, 0.0), v0=2.0, a=-1.0, k=0.0, t=3.0)
-        assert (pt.x, pt.y, v) == pytest.approx((3.0, 0.0, 0.0))
+        x, y, v = closed_form_relative(5.0, 0.0, v0=2.0, a=-1.0, k=0.0, t=3.0)
+        assert (x, y, v) == pytest.approx((3.0, 0.0, 0.0))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            closed_form_relative(RelPoint(1.0, 0.0), 1.0, 0.0, 0.0, -0.1)
+            closed_form_relative(1.0, 0.0, 1.0, 0.0, 0.0, -0.1)
 
     def test_tiny_curvature_matches_straight_line(self):
-        straight, _ = closed_form_relative(RelPoint(40.0, 1e-9), 10.0, 0.0, 0.0, 1.0)
-        curved, _ = closed_form_relative(RelPoint(40.0, 1e-9), 10.0, 0.0, 1e-13, 1.0)
-        assert curved.x == pytest.approx(straight.x, abs=1e-9)
-        assert curved.y == pytest.approx(straight.y, abs=1e-9)
+        sx, sy, _ = closed_form_relative(40.0, 1e-9, 10.0, 0.0, 0.0, 1.0)
+        cx, cy, _ = closed_form_relative(40.0, 1e-9, 10.0, 0.0, 1e-13, 1.0)
+        assert cx == pytest.approx(sx, abs=1e-9)
+        assert cy == pytest.approx(sy, abs=1e-9)
 
 
 def test_rk4_matches_closed_form():
     rng = random.Random(5)
     for _ in range(50):
-        pt0 = RelPoint(rng.uniform(-5.0, 15.0), rng.uniform(-5.0, 5.0))
+        x0, y0 = rng.uniform(-5.0, 15.0), rng.uniform(-5.0, 5.0)
         v0 = rng.uniform(0.0, 10.0)
         a = rng.uniform(-2.0, 2.0)
         k = rng.uniform(-1.0, 1.0)
         dt = 1e-3
         arc = v0 * dt + a * dt * dt / 2.0
-        exact, ve = closed_form_relative(pt0, v0, a, k, dt)
-        approx, va = step_relative(pt0, v0, a, k, dt, substeps=1)
-        err = math.hypot(exact.x - approx.x, exact.y - approx.y)
+        ex, ey, ve = closed_form_relative(x0, y0, v0, a, k, dt)
+        rx, ry, va = step_relative(x0, y0, v0, a, k, dt, substeps=1)
+        err = math.hypot(ex - rx, ey - ry)
         assert err <= 1e-8 * max(abs(arc), 1e-9)
         assert va == pytest.approx(ve, abs=1e-12)
 
@@ -72,13 +71,13 @@ def test_rk4_radius_conservation():
     # On a circular path the distance to the rotation center is invariant.
     k = 0.5
     cy = 1.0 / k
-    pt = RelPoint(3.0, -1.0)
-    r0 = math.hypot(pt.x, pt.y - cy)
+    x, y = 3.0, -1.0
+    r0 = math.hypot(x, y - cy)
     v = 2.0
     for _ in range(10_000):
         # 0.025 s is the default integrator substep (20 per 0.5 s cycle).
-        pt, v = step_relative(pt, v, 0.0, k, 0.025, substeps=1)
-    r1 = math.hypot(pt.x, pt.y - cy)
+        x, y, v = step_relative(x, y, v, 0.0, k, 0.025, substeps=1)
+    r1 = math.hypot(x, y - cy)
     assert abs(r1 - r0) / r0 <= 1e-6
 
 
@@ -109,20 +108,19 @@ class TestWorldStep:
             # Course-typical yaw rates: keep v*|k| within the benchmark envelope.
             k_cap = min(0.8, 2.0 / max(v, 0.1))
             k = rng.uniform(-k_cap, k_cap)
-            world_pt = from_relative(pose, RelPoint(rng.uniform(1, 10), rng.uniform(-3, 3)))
-            rel0 = to_relative(pose, world_pt)
+            world_pt = from_relative(pose, (rng.uniform(1, 10), rng.uniform(-3, 3)))
+            x0, y0 = to_relative(pose, world_pt)
             pose1, _, _ = arc_step(pose, v, k, a, dt=0.5)
-            rel_direct, _ = step_relative(rel0, v, a, k, 0.5)
-            rel_via_world = to_relative(pose1, world_pt)
-            assert math.hypot(rel_direct.x - rel_via_world.x,
-                              rel_direct.y - rel_via_world.y) <= 1e-6
+            x_direct, y_direct, _ = step_relative(x0, y0, v, a, k, 0.5)
+            x_world, y_world = to_relative(pose1, world_pt)
+            assert math.hypot(x_direct - x_world, y_direct - y_world) <= 1e-6
 
 
 def _arc_distance(x, y, k, sigma):
     """Distance from the arc point at length sigma to the body-frame point
     (x, y), read off the closed-form flow."""
-    pt, _ = closed_form_relative(RelPoint(x, y), 1.0, 0.0, k, sigma)
-    return math.hypot(pt.x, pt.y)
+    x1, y1, _ = closed_form_relative(x, y, 1.0, 0.0, k, sigma)
+    return math.hypot(x1, y1)
 
 
 class TestGoalIntervals:
@@ -193,15 +191,15 @@ class TestGoalIntervals:
 class TestFrames:
     def test_identity(self):
         rel = to_relative(WorldPose(0.0, 0.0, 0.0), (3.0, 4.0))
-        assert (rel.x, rel.y) == pytest.approx((3.0, 4.0))
+        assert rel == pytest.approx((3.0, 4.0))
 
     def test_quarter_heading(self):
         rel = to_relative(WorldPose(0.0, 0.0, math.pi / 2.0), (0.0, 5.0))
-        assert (rel.x, rel.y) == pytest.approx((5.0, 0.0), abs=1e-12)
+        assert rel == pytest.approx((5.0, 0.0), abs=1e-12)
 
     def test_translation_behind(self):
         rel = to_relative(WorldPose(1.0, 1.0, 0.0), (0.0, 1.0))
-        assert (rel.x, rel.y) == pytest.approx((-1.0, 0.0))
+        assert rel == pytest.approx((-1.0, 0.0))
 
     def test_round_trip(self):
         rng = random.Random(2)
@@ -237,9 +235,3 @@ class TestDisturbance:
         with pytest.raises(ValueError, match="curvature_bias must be finite"):
             Disturbance(curvature_bias=bias)
 
-
-def test_rel_point_must_be_finite():
-    with pytest.raises(ValueError):
-        RelPoint(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        RelPoint(0.0, math.inf)

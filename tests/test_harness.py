@@ -3,6 +3,9 @@ import pytest
 from waynet.dynamics import Disturbance
 from waynet.harness import (CONTROLLERS, EpisodeConfig, EpisodeReport, LOG_HEADER,
                             format_log, run_episode, summarize)
+from waynet.plan import gen_environment
+
+RECT = gen_environment("rect")
 
 MILD = Disturbance(curvature_gain_error=0.05, curvature_bias=0.002,
                    accel_gain_error=0.05, cycle_jitter=0.1)
@@ -15,13 +18,13 @@ def test_known_controllers():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EpisodeConfig(controller="rogue")
+        EpisodeConfig(RECT, controller="rogue")
     with pytest.raises(ValueError):
-        EpisodeConfig(max_cycles=0)
+        EpisodeConfig(RECT, max_cycles=0)
+    with pytest.raises(TypeError):
+        EpisodeConfig(environment="rect")  # the plan is required
     with pytest.raises(ValueError):
-        EpisodeConfig(environment=None, plan=None)
-    with pytest.raises(ValueError):
-        EpisodeConfig(branch="coinflip")
+        EpisodeConfig(RECT, branch="coinflip")
 
 
 def test_report_validation():
@@ -32,7 +35,7 @@ def test_report_validation():
 
 
 def test_determinism_same_seed_identical_logs():
-    cfg = EpisodeConfig(environment="rect", controller="pd1", seed=42,
+    cfg = EpisodeConfig(RECT, "rect", controller="pd1", seed=42,
                         disturbance=MILD)
     rep1, rows1 = run_episode(cfg)
     rep2, rows2 = run_episode(cfg)
@@ -41,9 +44,9 @@ def test_determinism_same_seed_identical_logs():
 
 
 def test_different_seed_differs_under_jitter():
-    cfg_a = EpisodeConfig(environment="rect", controller="pd1", seed=1,
+    cfg_a = EpisodeConfig(RECT, "rect", controller="pd1", seed=1,
                           disturbance=MILD)
-    cfg_b = EpisodeConfig(environment="rect", controller="pd1", seed=2,
+    cfg_b = EpisodeConfig(RECT, "rect", controller="pd1", seed=2,
                           disturbance=MILD)
     _, rows_a = run_episode(cfg_a)
     _, rows_b = run_episode(cfg_b)
@@ -51,7 +54,7 @@ def test_different_seed_differs_under_jitter():
 
 
 def test_rect_liveness_clean_lap():
-    rep, rows = run_episode(EpisodeConfig(environment="rect",
+    rep, rows = run_episode(EpisodeConfig(RECT, "rect",
                                           controller="liveness", seed=0))
     assert rep.completed
     assert rep.safety_violations == 0
@@ -62,14 +65,14 @@ def test_rect_liveness_clean_lap():
 
 def test_all_controllers_safe_on_rect():
     for name in ("bangbang", "pd1", "pd2", "pd3", "liveness"):
-        rep, _ = run_episode(EpisodeConfig(environment="rect", controller=name,
+        rep, _ = run_episode(EpisodeConfig(RECT, "rect", controller=name,
                                            seed=0))
         assert rep.safety_violations == 0, name
         assert rep.completed, name
 
 
 def test_adversarial_monitored_is_safe_but_gated():
-    rep, _ = run_episode(EpisodeConfig(environment="rect",
+    rep, _ = run_episode(EpisodeConfig(RECT, "rect",
                                        controller="adversarial", seed=0))
     assert rep.safety_violations == 0
     assert rep.ctrl_fail_rate > 0.0
@@ -79,7 +82,7 @@ def test_adversarial_monitored_is_safe_but_gated():
 def test_adversarial_unmonitored_violates():
     total = 0
     for seed in range(3):
-        rep, _ = run_episode(EpisodeConfig(environment="rect",
+        rep, _ = run_episode(EpisodeConfig(RECT, "rect",
                                            controller="adversarial",
                                            monitoring=False, seed=seed))
         total += rep.safety_violations
@@ -87,9 +90,9 @@ def test_adversarial_unmonitored_violates():
 
 
 def test_interval_mode_matches_point_mode_on_clean_run():
-    point, rows_p = run_episode(EpisodeConfig(environment="rect",
+    point, rows_p = run_episode(EpisodeConfig(RECT, "rect",
                                               controller="pd1", seed=7))
-    interval, rows_i = run_episode(EpisodeConfig(environment="rect",
+    interval, rows_i = run_episode(EpisodeConfig(RECT, "rect",
                                                  controller="pd1", seed=7,
                                                  interval_mode=True))
     assert interval.safety_violations == 0
@@ -99,7 +102,7 @@ def test_interval_mode_matches_point_mode_on_clean_run():
 
 
 def test_log_format():
-    _, rows = run_episode(EpisodeConfig(environment="rect", controller="pd1",
+    _, rows = run_episode(EpisodeConfig(RECT, "rect", controller="pd1",
                                         seed=0, max_cycles=5))
     text = format_log(rows)
     lines = text.strip().split("\n")
@@ -112,7 +115,7 @@ def test_summarize_groups_and_totals():
     reports = []
     for seed in range(2):
         for ctrl in ("pd1", "liveness"):
-            rep, _ = run_episode(EpisodeConfig(environment="rect",
+            rep, _ = run_episode(EpisodeConfig(RECT, "rect",
                                                controller=ctrl, seed=seed,
                                                max_cycles=30, collect_log=False))
             reports.append(rep)
@@ -129,7 +132,7 @@ def test_summarize_rejects_empty():
 
 
 def test_max_cycles_bound():
-    rep, _ = run_episode(EpisodeConfig(environment="clover", controller="pd1",
+    rep, _ = run_episode(EpisodeConfig(gen_environment("clover"), "clover", controller="pd1",
                                        seed=0, max_cycles=10))
     assert rep.cycles <= 10
     assert not rep.completed

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from waynet.core import Params, RelWaypoint
 from waynet.monitor import (Clause, MonitorVerdict, ann_clause, ann_residual,
                             controller_monitor, delta_lim, fallback_accel, feas,
-                            go, invariant_j, lim, monitor_1d, plant_monitor,
-                            simulate_1d, Toy1DState)
+                            go, invariant_j, lim, plant_monitor)
+
+from toy1d import Toy1DState, monitor_1d, simulate_1d
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=1.0)
 P_HALF = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)

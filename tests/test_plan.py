@@ -3,7 +3,7 @@ import math
 import pytest
 
 from waynet.core import Params, WorldPose
-from waynet.dynamics import RelPoint, to_relative
+from waynet.dynamics import to_relative
 from waynet.plan import (ActiveTarget, DEFAULT_SCALES, DeadEnd, ENVIRONMENTS, PlanError,
                          arc_geometry, arc_heading, arc_point, curvature_through,
                          deterministic_first, gen_environment, initial_state,
@@ -34,8 +34,9 @@ class TestParse:
         assert g.edges[1].k == 0.5
 
     def test_comments_and_blank_lines_ignored(self):
-        g = parse_plan("node a 0 0 0 1  # inline\n\nstart a\n")
-        assert list(g.nodes) == ["a"]
+        g = parse_plan("node a 0 0 0 1  # inline\n\n# whole line\nnode b 5 0 0 1\n"
+                       "edge a b line\nstart a\n")
+        assert list(g.nodes) == ["a", "b"]
 
     def test_unknown_node_reference(self):
         with pytest.raises(PlanError, match="unknown node 'zz'"):
@@ -77,16 +78,16 @@ class TestParse:
 
 class TestCurvatureThrough:
     def test_straight_ahead_is_zero(self):
-        assert curvature_through(RelPoint(5.0, 0.0), eps=1.0) == 0.0
+        assert curvature_through(5.0, 0.0, eps=1.0) == 0.0
 
     def test_reference_point(self):
-        k = curvature_through(RelPoint(2.5, -3.0), eps=1.0)
+        k = curvature_through(2.5, -3.0, eps=1.0)
         assert k == pytest.approx(-2.0 * 3.0 / (15.25 - 1.0))
         assert k == pytest.approx(-0.42105, abs=1e-5)
 
     def test_inside_goal_region_rejected(self):
         with pytest.raises(ValueError):
-            curvature_through(RelPoint(0.3, 0.3), eps=1.0)
+            curvature_through(0.3, 0.3, eps=1.0)
 
 
 class TestCompiledPlan:
@@ -94,6 +95,7 @@ class TestCompiledPlan:
         g = parse_plan(SIMPLE)
         line, arc = g.segments
         assert (line.a.id, line.b.id, line.k, line.geom) == ("a", "b", 0.0, None)
+        assert (line.chord, line.chord2) == (10.0, 100.0)
         assert (arc.a.id, arc.b.id, arc.k) == ("b", "c", 0.5)
         assert arc.geom == arc_geometry(10.0, 0.0, 12.0, 2.0, 0.5)
         assert arc.point(1.0) == pytest.approx((12.0, 2.0), abs=1e-9)
@@ -111,6 +113,10 @@ class TestCompiledPlan:
         assert g.successors("a") == (0, 2)
         assert g.successors("b") == (1,)
         assert g.successors("c") == ()
+
+    def test_start_without_outgoing_edge_rejected_at_parse(self):
+        with pytest.raises(PlanError, match="start node 'a' has no outgoing edges"):
+            parse_plan("node a 0 0 0 1\nnode b 5 0 0 1\nstart a\nedge b a line\n")
 
     def test_coincident_arc_endpoints_rejected_at_parse(self):
         with pytest.raises(PlanError, match="endpoints coincide"):
@@ -187,10 +193,9 @@ class TestTargets:
         # Robot turned well off the segment: the scan must find a sample ahead.
         g = parse_plan(SIMPLE)
         pose = WorldPose(5.0, 0.5, -2.0 * math.pi / 3.0)
-        assert to_relative(pose, (10.0, 0.0)).x < 0.0  # end node is behind
+        assert to_relative(pose, (10.0, 0.0))[0] < 0.0  # end node is behind
         t = target_for_edge(g, 0, pose, math.inf)
-        rel = to_relative(pose, t.target_world)
-        assert rel.x > 0.0
+        assert to_relative(pose, t.target_world)[0] > 0.0
         assert t.frac < 1.0
 
     def test_fully_turned_around_falls_back_to_end_node(self):
@@ -278,8 +283,7 @@ class TestTargets:
         for edge_index, pose in ((0, WorldPose(5.0, 0.5, -2.0 * math.pi / 3.0)),
                                  (1, WorldPose(10.5, 0.2, 0.3))):
             t = target_for_edge(g, edge_index, pose, 1.0)
-            rel = to_relative(pose, t.target_world)
-            assert (t.waypoint.x, t.waypoint.y) == (rel.x, rel.y)
+            assert (t.waypoint.x, t.waypoint.y) == to_relative(pose, t.target_world)
 
 
 class TestEnvironments:

@@ -36,6 +36,15 @@ def test_invariant_preservation_validates_n():
         check_invariant_preservation(n=0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_progress_and_oracle_validate_n(n):
+    for case in PROGRESS_CASES:
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            check_progress(case, n=n)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        go_oracle(n=n)
+
+
 @pytest.mark.parametrize("case", PROGRESS_CASES)
 def test_progress_cases_small(case):
     report = check_progress(case, n=150, seed=2)
