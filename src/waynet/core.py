@@ -25,6 +25,13 @@ class Params:
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"Params.{name} must be positive and finite, got {value!r}")
+        # One cycle at full acceleration or braking moves A*T^2/2 or B*T^2/2.
+        T = self.cycle_max
+        for name in ("accel_max", "brake_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value * T * T):
+                raise ValueError(f"Params.{name} * cycle_max**2 must be finite, "
+                                 f"got {name}={value!r}, cycle_max={T!r}")
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,24 @@
 
 There is one formula: ``interval_eval_controller`` runs
 ``waynet.monitor.controller_monitor`` itself with ``Ivl`` waypoint, speed and
-acceleration and with the four ``Params`` fields as exact ``Fraction``s.
-Interval endpoints are exact rationals (every float converts exactly), so
-every primitive operation encloses the real-arithmetic result with zero
-slack -- the limiting case of outward rounding.
+acceleration and with the four ``Params`` fields as point ``Ivl``s, built once
+per ``Params``.
+
+Interval endpoints are floats. Each endpoint is rounded in its own direction
+(``lo`` down, ``hi`` up), and only when the float result is inexact: an
+error-free transform gives the exact rounding error of each operation --
+Knuth's TwoSum for ``+`` and ``-``, Dekker's TwoProduct (Veltkamp split by
+2**27 + 1) for ``*`` and squares, and the same product check of ``q*b == a``
+for ``/``. An endpoint whose error points the wrong way, or whose error is not
+known exactly (a product that overflows or lies below 2**-960, where its error
+may not be a float), steps one float outward with ``math.nextafter``; a
+round-to-nearest result is never more than that step from the exact one. An
+exact float result stays a point, so cruising at ``v = vl`` with ``a = 0``
+keeps ``v + a*T`` the point ``v`` and its limit comparison decided.
+
+No endpoint is ever NaN: ``Ivl`` rejects one, and an operation whose endpoint
+would be NaN (``inf - inf``, ``0 * inf``, ``inf / inf``) raises
+``NaNInterval``. Like ``ZeroDivideInterval``, it makes the verdict Unknown.
 
 An ``Ivl`` comparison returns ``True`` or ``False`` only when it holds, or
 fails, for every point of its operands, and raises ``monitor.Undecided``
@@ -20,10 +34,19 @@ failure (fail-safe).
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
+import functools
+import math
+from typing import NamedTuple
 
 from waynet.core import Params, RelWaypoint
 from waynet.monitor import Undecided, controller_monitor
+
+_INF = math.inf
+_nextafter = math.nextafter
+_new_ivl = object.__new__
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_TINY = 2.0 ** -960   # below this a product's rounding error may not be a float
+_HUGE = 2.0 ** 960    # above this the split may overflow
 
 
 class IntervalVerdict(enum.Enum):
@@ -36,90 +59,179 @@ class ZeroDivideInterval(ArithmeticError):
     """Division by an interval containing zero; the enclosing clause is Unknown."""
 
 
+class NaNInterval(ArithmeticError):
+    """An endpoint would be NaN (inf - inf, 0 * inf); the enclosing clause is Unknown."""
+
+
+def _sum(a: float, b: float) -> tuple[float, float]:
+    """(lo, hi) enclosing the exact a + b. Knuth's TwoSum error is exact for
+    every finite a, b; an overflow makes it NaN, which steps both sides."""
+    s = a + b
+    t = s - a
+    err = (a - (s - t)) + (b - t)
+    return (s if err >= 0.0 else _nextafter(s, -_INF),
+            s if err <= 0.0 else _nextafter(s, _INF))
+
+
+def _prod(a: float, b: float) -> tuple[float, float]:
+    """(lo, hi) enclosing the exact a * b. Dekker's TwoProduct error is exact
+    for _TINY <= |a*b| <= _HUGE (NaN if the split overflows); outside that
+    range only an exact zero is kept."""
+    p = a * b
+    if _TINY <= abs(p) <= _HUGE:
+        c = _SPLIT * a
+        ah = c - (c - a)
+        al = a - ah
+        c = _SPLIT * b
+        bh = c - (c - b)
+        bl = b - bh
+        err = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+        return (p if err >= 0.0 else _nextafter(p, -_INF),
+                p if err <= 0.0 else _nextafter(p, _INF))
+    if p == 0.0 and (a == 0.0 or b == 0.0):
+        return p, p
+    return _nextafter(p, -_INF), _nextafter(p, _INF)
+
+
+def _quot(a: float, b: float) -> tuple[float, float]:
+    """(lo, hi) enclosing the exact a / b for b != 0: the quotient q itself
+    when q * b == a exactly, else one step outward on both sides."""
+    q = a / b
+    if a == 0.0 or _prod(q, b) == (a, a):
+        return q, q
+    return _nextafter(q, -_INF), _nextafter(q, _INF)
+
+
+def _ivl(lo: float, hi: float) -> Ivl:
+    if not lo <= hi:  # directed rounding keeps lo <= hi, so only a NaN fails
+        raise NaNInterval(f"NaN endpoint: [{lo}, {hi}]")
+    r = _new_ivl(Ivl)
+    r.lo = lo
+    r.hi = hi
+    return r
+
+
 class Ivl:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with float endpoints, neither of them NaN.
+
+    Endpoints that are not floats (ints, Fractions) round outward."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi=None):
         if hi is None:
             hi = lo
-        lo = Fraction(lo)
-        hi = Fraction(hi)
-        if lo > hi:
+        flo, fhi = float(lo), float(hi)
+        if flo > lo:
+            flo = _nextafter(flo, -_INF)
+        if fhi < hi:
+            fhi = _nextafter(fhi, _INF)
+        if flo != flo or fhi != fhi:
+            raise NaNInterval(f"NaN endpoint: [{lo}, {hi}]")
+        if flo > fhi:
             raise ValueError(f"malformed interval: lo={lo} > hi={hi}")
-        self.lo = lo
-        self.hi = hi
+        self.lo = flo
+        self.hi = fhi
 
     def __repr__(self):
-        return f"Ivl({float(self.lo)}, {float(self.hi)})"
+        return f"Ivl({self.lo!r}, {self.hi!r})"
 
     def __add__(self, other):
-        other = _as_ivl(other)
-        return Ivl(self.lo + other.lo, self.hi + other.hi)
+        a, b = self.lo, self.hi
+        c, d = _bounds(other)
+        if a == b and c == d:
+            return _ivl(*_sum(a, c))
+        return _ivl(_sum(a, c)[0], _sum(b, d)[1])
 
     def __sub__(self, other):
-        other = _as_ivl(other)
-        return Ivl(self.lo - other.hi, self.hi - other.lo)
+        a, b = self.lo, self.hi
+        lo, hi = _bounds(other)
+        c, d = -hi, -lo
+        if a == b and c == d:
+            return _ivl(*_sum(a, c))
+        return _ivl(_sum(a, c)[0], _sum(b, d)[1])
 
     def __neg__(self):
-        return Ivl(-self.hi, -self.lo)
+        return _ivl(-self.hi, -self.lo)
 
     def __mul__(self, other):
         if other is self:
             return self.square()
-        other = _as_ivl(other)
-        products = (self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi)
-        return Ivl(min(products), max(products))
+        a, b = self.lo, self.hi
+        c, d = _bounds(other)
+        if a == b and c == d:
+            return _ivl(*_prod(a, c))
+        # Only the endpoint products that bound the result, by sign case, so
+        # 0 * inf is computed only where it would be an endpoint.
+        if a >= 0.0:
+            if c >= 0.0:
+                return _ivl(_prod(a, c)[0], _prod(b, d)[1])
+            if d <= 0.0:
+                return _ivl(_prod(b, c)[0], _prod(a, d)[1])
+            return _ivl(_prod(b, c)[0], _prod(b, d)[1])
+        if b <= 0.0:
+            if c >= 0.0:
+                return _ivl(_prod(a, d)[0], _prod(b, c)[1])
+            if d <= 0.0:
+                return _ivl(_prod(b, d)[0], _prod(a, c)[1])
+            return _ivl(_prod(a, d)[0], _prod(a, c)[1])
+        if c >= 0.0:
+            return _ivl(_prod(a, d)[0], _prod(b, d)[1])
+        if d <= 0.0:
+            return _ivl(_prod(b, c)[0], _prod(a, c)[1])
+        return _ivl(min(_prod(a, d)[0], _prod(b, c)[0]),
+                    max(_prod(a, c)[1], _prod(b, d)[1]))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other):
-        return _as_ivl(other) - self
+        return -self + other
 
     def __truediv__(self, other):
-        other = _as_ivl(other)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivideInterval(f"division by {other!r}")
-        quotients = (self.lo / other.lo, self.lo / other.hi,
-                     self.hi / other.lo, self.hi / other.hi)
-        return Ivl(min(quotients), max(quotients))
+        c, d = _bounds(other)
+        if c <= 0.0 <= d:
+            raise ZeroDivideInterval(f"division by [{c}, {d}]")
+        if d < 0.0:
+            return -(self / _ivl(-d, -c))
+        a, b = self.lo, self.hi
+        if a == b and c == d:
+            return _ivl(*_quot(a, c))
+        return _ivl(_quot(a, d if a >= 0.0 else c)[0],
+                    _quot(b, c if b >= 0.0 else d)[1])
 
     def square(self):
-        if self.lo >= 0:
-            return Ivl(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return Ivl(self.hi * self.hi, self.lo * self.lo)
-        return Ivl(0, max(self.lo * self.lo, self.hi * self.hi))
+        a, b = self.lo, self.hi
+        if a == b:
+            return _ivl(*_prod(a, a))
+        if a >= 0.0:
+            return _ivl(_prod(a, a)[0], _prod(b, b)[1])
+        if b <= 0.0:
+            return _ivl(_prod(b, b)[0], _prod(a, a)[1])
+        return _ivl(0.0, max(_prod(a, a)[1], _prod(b, b)[1]))
 
     def __abs__(self):
-        if self.lo >= 0:
+        if self.lo >= 0.0:
             return self
-        if self.hi <= 0:
+        if self.hi <= 0.0:
             return -self
-        return Ivl(0, max(-self.lo, self.hi))
+        return _ivl(0.0, max(-self.lo, self.hi))
 
     def __lt__(self, other):
-        other = _as_ivl(other)
-        return _decide(self.hi < other.lo, self.lo >= other.hi)
+        lo, hi = _bounds(other)
+        return _decide(self.hi < lo, self.lo >= hi)
 
     def __le__(self, other):
-        other = _as_ivl(other)
-        return _decide(self.hi <= other.lo, self.lo > other.hi)
+        lo, hi = _bounds(other)
+        return _decide(self.hi <= lo, self.lo > hi)
 
     def __gt__(self, other):
-        other = _as_ivl(other)
-        return _decide(self.lo > other.hi, self.hi <= other.lo)
+        lo, hi = _bounds(other)
+        return _decide(self.lo > hi, self.hi <= lo)
 
     def __ge__(self, other):
-        other = _as_ivl(other)
-        return _decide(self.lo >= other.hi, self.hi < other.lo)
-
-
-def _as_ivl(x) -> Ivl:
-    return x if isinstance(x, Ivl) else Ivl(x)
+        lo, hi = _bounds(other)
+        return _decide(self.lo >= hi, self.hi < lo)
 
 
 def _decide(always: bool, never: bool) -> bool:
@@ -130,19 +242,38 @@ def _decide(always: bool, never: bool) -> bool:
     raise Undecided
 
 
+def _bounds(x) -> tuple[float, float]:
+    """(lo, hi) of an operand: an Ivl's endpoints, a float itself, or the
+    outward-rounded endpoints of any other real."""
+    if isinstance(x, Ivl):
+        return x.lo, x.hi
+    if type(x) is float:
+        return x, x
+    x = Ivl(x)
+    return x.lo, x.hi
+
+
+class _PointParams(NamedTuple):
+    """The ``Params`` fields as point intervals, for the monitor formula."""
+
+    accel_max: Ivl
+    brake_max: Ivl
+    cycle_max: Ivl
+    tol: Ivl
+
+
+@functools.lru_cache(maxsize=8)
+def _point_params(p: Params) -> _PointParams:
+    return _PointParams(Ivl(p.accel_max), Ivl(p.brake_max), Ivl(p.cycle_max), Ivl(p.tol))
+
+
 def interval_eval_controller(x: Ivl, y: Ivl, k: Ivl, vl: Ivl, vh: Ivl,
                              v: Ivl, a: Ivl, p: Params) -> IntervalVerdict:
     """Evaluate the controller monitor (feasibility and admissibility) over a
-    box of states; conservative in the fail-safe direction.
-
-    The one mixed Fraction/float operation in the formula, adding the zero
-    slack to eps, gives a float; it is exact because eps converts from one.
-    """
-    exact = Params(accel_max=Fraction(p.accel_max), brake_max=Fraction(p.brake_max),
-                   cycle_max=Fraction(p.cycle_max), tol=Fraction(p.tol))
+    box of states; conservative in the fail-safe direction."""
     try:
-        verdict = controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, exact)
-    except (Undecided, ZeroDivideInterval):
+        verdict = controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, _point_params(p))
+    except (Undecided, ZeroDivideInterval, NaNInterval):
         return IntervalVerdict.UNKNOWN
     if verdict:
         return IntervalVerdict.DEFINITELY_TRUE

@@ -16,9 +16,12 @@ operands and fail for others.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from waynet.core import Params, RelWaypoint, inf_norm
+
+_INF = math.inf
 
 
 class Clause(enum.Enum):
@@ -28,14 +31,14 @@ class Clause(enum.Enum):
     ANN_SCALE = "ann_scale"          # |k| * eps <= 1
     ANN_BAND = "ann_band"            # |k (x^2+y^2-eps^2)/2 - y| < eps
     AHEAD = "ahead"                  # x > 0
-    LIMITS_ORDER = "limits_order"    # 0 <= vl < vh
+    LIMITS_ORDER = "limits_order"    # 0 <= vl < vh < inf
     LIMIT_GAP_A = "limit_gap_a"      # A T <= vh - vl
     LIMIT_GAP_B = "limit_gap_b"      # B T <= vh - vl
     ACCEL_RANGE = "accel_range"      # -B <= a <= A
     NON_NEG_SPEED = "non_neg_speed"  # v + a T >= 0
     UPPER_SPEED = "upper_speed"      # upper-limit clause (vh side)
     LOWER_SPEED = "lower_speed"      # lower-limit clause (vl side)
-    CYCLE_TIME = "cycle_time"        # elapsed <= T
+    CYCLE_TIME = "cycle_time"        # 0 <= elapsed <= T
     PLANT_DOMAIN = "plant_domain"    # v >= 0
     INTERVAL_UNDECIDED = "interval_undecided"  # interval mode could not certify
 
@@ -85,7 +88,7 @@ def feas(wp: RelWaypoint, p: Params) -> MonitorVerdict:
         return _fail(c)
     if not wp.x > 0.0:
         return _fail(Clause.AHEAD)
-    if not (0.0 <= wp.vl < wp.vh):
+    if not (0.0 <= wp.vl < wp.vh < _INF):
         return _fail(Clause.LIMITS_ORDER)
     gap = wp.vh - wp.vl
     if not p.accel_max * p.cycle_max <= gap:
@@ -158,7 +161,7 @@ def invariant_j(wp: RelWaypoint, v: float, p: Params,
     c = ann_clause(wp, p.tol, slack)
     if c is not Clause.NONE:
         return _fail(c)
-    if not (0.0 - slack <= wp.vl < wp.vh + slack):
+    if not (0.0 - slack <= wp.vl < wp.vh + slack < _INF):
         return _fail(Clause.LIMITS_ORDER)
     gap = wp.vh - wp.vl
     if not p.accel_max * p.cycle_max <= gap + slack:
@@ -185,7 +188,7 @@ def plant_monitor(wp: RelWaypoint, v: float, elapsed: float, p: Params) -> Monit
     verdict = invariant_j(wp, v, p)
     if not verdict:
         return verdict
-    if not elapsed <= p.cycle_max:
+    if not 0.0 <= elapsed <= p.cycle_max:
         return _fail(Clause.CYCLE_TIME)
     if not v >= 0.0:
         return _fail(Clause.PLANT_DOMAIN)

@@ -1,0 +1,31 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pair", Path(__file__).resolve().parents[1] / "scripts" / "bench_pair.py")
+bench_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pair)
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.0, 100.0]
+
+
+@pytest.mark.parametrize("change, better, verdict", [
+    ([300.0 + i for i in range(10)], "higher", "gain"),
+    ([30.0 + i for i in range(10)], "lower", "gain"),
+    ([70.0] * 10, "higher", "regression"),
+    ([p + 0.1 * (-1) ** i for i, p in enumerate(PARENT)], "higher", "unchanged"),
+    ([95.0] * 9 + [500.0], "higher", "unchanged"),  # 1 win in 10 is no gain
+])
+def test_compare_verdicts(change, better, verdict):
+    result = bench_pair.compare(PARENT, change, better, bound=0.2)
+    assert result["verdict"] == verdict
+    assert result["parent"]["runs"] == PARENT and result["change"]["runs"] == change
+
+
+def test_compare_unresolved_when_parent_spread_exceeds_bound():
+    parent = [50.0, 150.0] * 5
+    assert bench_pair.compare(parent, [100.0] * 10, "higher", 0.2)["verdict"] == "unresolved"
+    # Every change run better than every parent run resolves it.
+    assert bench_pair.compare(parent, [160.0] * 10, "higher", 0.2)["verdict"] != "unresolved"

@@ -136,11 +136,22 @@ def test_simulate_rejects_episodes_below_1(capsys, episodes):
 
 
 def test_simulate_overflowing_cycle_exits_2(capsys):
-    # One 1e308 s cycle drives the vehicle past the largest float.
+    # A*T^2 overflows for a 1e308 s cycle: rejected before the first cycle.
     code, out, err = run(capsys, "simulate", "--episodes", "1", "--cycle", "1e308")
     assert code == 2
     assert out == ""
-    assert "overflowed" in err
+    assert "Params.accel_max * cycle_max**2 must be finite" in err
+
+
+def test_simulate_state_overflow_is_stopped_in_the_loop(capsys):
+    # A*T^2 = 1e306 passes the boundary, but unmonitored full acceleration
+    # grows the vehicle state past the largest float within a few cycles.
+    code, out, err = run(capsys, "simulate", "--env", "rect", "--controller", "adversarial",
+                         "--no-monitor", "--episodes", "1", "--accel", "1", "--brake", "1",
+                         "--cycle", "1e153", "--max-cycles", "400")
+    assert code == 2
+    assert out == ""
+    assert "vehicle state overflowed" in err
 
 
 def test_simulate_with_plan_file(tmp_path, capsys):

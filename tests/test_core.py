@@ -38,6 +38,14 @@ def test_params_rejects_non_positive(field, bad):
         Params(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["accel_max", "brake_max"])
+def test_params_rejects_overflowing_one_cycle_terms(field):
+    kwargs = dict(accel_max=1.0, brake_max=1.0, cycle_max=1e154, tol=1.0)
+    with pytest.raises(ValueError, match=f"Params.{field} \\* cycle_max"):
+        Params(**{**kwargs, field: 1e10})
+    Params(**kwargs)  # 1e308: still finite
+
+
 def test_normalize_angle_range():
     assert normalize_angle(0.0) == 0.0
     assert normalize_angle(math.pi) == pytest.approx(math.pi)

@@ -1,11 +1,13 @@
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from waynet.core import Params, RelWaypoint
-from waynet.intervals import (IntervalVerdict, Ivl, ZeroDivideInterval,
+from waynet.intervals import (IntervalVerdict, Ivl, NaNInterval, ZeroDivideInterval,
                               interval_eval_controller)
 from waynet.monitor import Undecided, controller_monitor
 
@@ -20,10 +22,97 @@ def degenerate(x, y, k, vl, vh, v, a):
     return [Ivl(x), Ivl(y), Ivl(k), Ivl(vl), Ivl(vh), Ivl(v), Ivl(a)]
 
 
+# Fraction is the oracle: every float converts to it exactly. Magnitudes stay
+# within [2**-300, 2**300] (or zero), so no product or quotient leaves the
+# range in which the interval operations detect an exact result.
+_MAGNITUDE = st.floats(min_value=2.0 ** -300, max_value=2.0 ** 300)
+_FLOAT = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(operator.neg),
+                   st.sampled_from([0.1, 0.2, 0.5, 1.0, 2.0, 3.0, -0.5]))
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _is_float(q: Fraction) -> bool:
+    return Fraction(float(q)) == q
+
+
+def _encloses(ivl: Ivl, exact) -> bool:
+    return ivl.lo <= exact <= ivl.hi
+
+
+@st.composite
+def _ivls(draw):
+    lo, hi = sorted((draw(_FLOAT), draw(_FLOAT)))
+    return Ivl(lo, draw(st.sampled_from([lo, hi])))
+
+
+@settings(max_examples=400)
+@given(_ivls(), _ivls(), st.sampled_from(sorted(_BINARY)))
+@example(Ivl(0.1), Ivl(0.2), "+")
+@example(Ivl(0.1), Ivl(0.3), "-")
+@example(Ivl(0.1), Ivl(3.0), "*")
+@example(Ivl(1.0), Ivl(3.0), "/")
+@example(Ivl(-1.0, 1.0), Ivl(3.0, 7.0), "/")
+def test_binary_ops_enclose_the_exact_result(x, y, name):
+    op = _BINARY[name]
+    if name == "/" and y.lo <= 0.0 <= y.hi:
+        with pytest.raises(ZeroDivideInterval):
+            op(x, y)
+        return
+    result = op(x, y)
+    for a in {x.lo, x.hi}:
+        for b in {y.lo, y.hi}:
+            exact = op(Fraction(a), Fraction(b))
+            assert _encloses(result, exact), (a, name, b, result)
+    if x.lo == x.hi and y.lo == y.hi and _is_float(exact):
+        assert result.lo == result.hi == exact, (x, name, y, result)
+
+
+@settings(max_examples=400)
+@given(_ivls())
+@example(Ivl(0.1))
+@example(Ivl(-0.3, 0.1))
+def test_square_and_abs_enclose_the_exact_result(x):
+    for result, fn in ((x.square(), lambda q: q * q), (x * x, lambda q: q * q),
+                       (abs(x), abs)):
+        images = [fn(Fraction(e)) for e in (x.lo, x.hi)]
+        if x.lo <= 0.0 <= x.hi:
+            images.append(Fraction(0))
+        assert all(_encloses(result, q) for q in images), (x, result)
+        if x.lo == x.hi and _is_float(images[0]):
+            assert result.lo == result.hi == images[0], (x, result)
+
+
 class TestIvl:
-    def test_endpoints_are_exact_rationals(self):
+    def test_inexact_sum_steps_each_endpoint_outward_once(self):
         s = Ivl(0.1) + Ivl(0.2)
-        assert s.lo == s.hi == Fraction(0.1) + Fraction(0.2)
+        exact = Fraction(0.1) + Fraction(0.2)
+        assert s.lo < exact < s.hi
+        assert s.hi == math.nextafter(s.lo, math.inf)
+
+    def test_non_float_endpoints_round_outward(self):
+        third = Ivl(Fraction(1, 3))
+        assert third.lo < Fraction(1, 3) < third.hi
+
+    def test_nan_endpoint_rejected(self):
+        for lo, hi in ((math.nan, None), (0.0, math.nan), (math.nan, 1.0)):
+            with pytest.raises(NaNInterval):
+                Ivl(lo, hi)
+
+    @pytest.mark.parametrize("expr", [
+        lambda: Ivl(math.inf) - Ivl(math.inf),
+        lambda: Ivl(-math.inf, 0.0) + Ivl(math.inf),
+        lambda: Ivl(0.0) * Ivl(1.0, math.inf),
+        lambda: Ivl(math.inf) / Ivl(1.0, math.inf),
+    ])
+    def test_nan_endpoint_raises(self, expr):
+        with pytest.raises(NaNInterval):
+            expr()
+
+    def test_overflow_encloses(self):
+        big = Ivl(1e308) + Ivl(1e308)
+        assert big.lo == math.nextafter(math.inf, 0.0) and big.hi == math.inf
+        tiny = Ivl(1e-200) * Ivl(1e-200)
+        assert tiny.lo < 0.0 < tiny.hi
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
@@ -83,11 +172,32 @@ class TestVerdicts:
                  (1.9, 2.1), (-1.0, -1.0)), P)
         assert v is IntervalVerdict.DEFINITELY_TRUE
 
+    def test_cruise_at_the_lower_limit_is_certified(self):
+        # v = vl with a = 0: v + a*T must stay the point 2.0, or the limit
+        # comparison vl <= v + a*T becomes undecided.
+        v = interval_eval_controller(*degenerate(12.0, 0.0, 0.0, 2.0, 4.0, 2.0, 0.0), P)
+        assert v is IntervalVerdict.DEFINITELY_TRUE
+
     def test_straddling_distance_boundary(self):
         v = interval_eval_controller(
             *box((10.9, 12.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (2.0, 2.0),
                  (5.0, 5.0), (-1.0, -1.0)), P)
         assert v is IntervalVerdict.UNKNOWN
+
+
+_PASSING = (12.0, 0.0, 0.0, 1.0, 2.0, 1.5, 0.0)
+
+
+@given(st.integers(min_value=0, max_value=6),
+       st.sampled_from([(math.inf, math.inf), (-math.inf, -math.inf),
+                        (None, math.inf), (-math.inf, None)]))
+def test_infinite_endpoint_is_never_certified_and_never_raises(field, ends):
+    assert interval_eval_controller(*degenerate(*_PASSING), P) is IntervalVerdict.DEFINITELY_TRUE
+    fields = degenerate(*_PASSING)
+    lo, hi = ends
+    fields[field] = Ivl(_PASSING[field] if lo is None else lo,
+                        _PASSING[field] if hi is None else hi)
+    assert interval_eval_controller(*fields, P) is not IntervalVerdict.DEFINITELY_TRUE
 
 
 def _random_state(rng):

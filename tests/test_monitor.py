@@ -199,3 +199,27 @@ def test_go_monotone_in_distance(v, a, x, extra):
     w2 = wp(x + extra, 0.0, 0.0)
     if go(w1, v, a, P):
         assert go(w2, v, a, P)
+
+
+# Property: a non-finite field fails both point monitors and never raises.
+_PASSING = [(12.0, 0.0, 0.0, 1.0, 2.0, 1.5, 0.0), (12.0, 0.0, 0.0, 2.0, 4.0, 2.0, 0.0),
+            (2.5, -3.0, -0.4, 1.0, 2.0, 1.5, 0.0), (6.0, 1.0, 0.05, 0.5, 3.0, 2.5, -1.0)]
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(st.sampled_from(_PASSING), st.integers(min_value=0, max_value=6), _NON_FINITE)
+def test_non_finite_field_fails_point_monitors(state, field, bad):
+    x, y, k, vl, vh, v, a = state
+    assert controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, P)
+    assert plant_monitor(RelWaypoint(x, y, k, vl, vh), v, 0.4, P)
+    s = list(state)
+    s[field] = bad
+    assert not controller_monitor(RelWaypoint(*s[:5]), s[5], s[6], P)
+    elapsed = bad if field == 6 else 0.4  # the plant monitor's seventh input
+    assert not plant_monitor(RelWaypoint(*s[:5]), s[5], elapsed, P)
+
+
+def test_infinite_upper_limit_fails_limits_order():
+    unbounded = wp(12.0, 0.0, 0.0, vl=1.0, vh=math.inf)
+    assert feas(unbounded, P).failed_clause is Clause.LIMITS_ORDER
+    assert invariant_j(unbounded, 1.5, P).failed_clause is Clause.LIMITS_ORDER
