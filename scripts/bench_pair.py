@@ -1,15 +1,15 @@
 """Paired perfbench runs of a parent commit against the working tree.
 
-    python3 scripts/bench_pair.py PARENT_REF --pr N [--pairs 10] [--seconds S]
-                                  [--seed 1] [--workload W ...]
+    python3 scripts/bench_pair.py PARENT_REF --pr N
 
 Exports PARENT_REF with ``git archive`` into a temporary directory. For every
-workload (all of BENCHMARK.json's by default) it runs
-``perfbench/run.py --trace 0`` on the parent and on the working tree in
-alternating order, the parent first in even-numbered pairs, and then one
-``--trace 1`` run on each side for the per-layer metrics. Each side runs its
-own ``perfbench/``, so the comparison holds only while that directory is the
-same in both. ``--seconds`` defaults to BENCHMARK.json's ``run_seconds``.
+workload of BENCHMARK.json it runs ``perfbench/run.py --trace 0`` on the
+parent and on the working tree in 10 alternating pairs, the parent first in
+even-numbered pairs, and then one ``--trace 1`` run on each side for the
+per-layer metrics. Every run lasts BENCHMARK.json's ``run_seconds`` at seed 1,
+so every BENCH file comes from the same settings. Each side runs its own
+``perfbench/``, so the comparison holds only while that directory is the same
+in both.
 
 It writes BENCH_<N>.json at the repository root. Per workload and end-to-end
 metric, it holds each side's runs, median and quartiles, the pairs the change
@@ -42,6 +42,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
+SEED = 1
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -74,10 +76,10 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
             "change": {"median": cm, "q1": c1, "q3": c3, "runs": change}}
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(tree: Path, workload: str, seconds: float, trace: int) -> dict:
     """One perfbench run in tree: its result line with the detail line merged in."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     *_, detail, result = proc.stdout.strip().splitlines()
@@ -95,16 +97,17 @@ def export(ref: str, into: Path) -> str:
     return sha
 
 
-def bench_workload(trees: dict[str, Path], workload: str, args, spec: dict) -> dict:
+def bench_workload(trees: dict[str, Path], workload: str, spec: dict) -> dict:
+    seconds = spec["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(perfbench(trees[side], workload, args.seed, args.seconds, 0))
-            print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+            runs[side].append(perfbench(trees[side], workload, seconds, 0))
+            print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
                   f"{runs[side][-1]['metrics']['throughput_per_s']['value']:.1f}/s",
                   file=sys.stderr)
-    traced = {side: perfbench(trees[side], workload, args.seed, args.seconds, 1)
+    traced = {side: perfbench(trees[side], workload, seconds, 1)
               for side in ("parent", "change")}
     every_run = runs["parent"] + runs["change"] + list(traced.values())
     end_to_end = {
@@ -129,22 +132,15 @@ def bench_workload(trees: dict[str, Path], workload: str, args, spec: dict) -> d
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_ref", help="git revision of the parent commit")
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<N>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=workloads,
-                        help="repeat to pick workloads (default: all)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0.0:
-        parser.error("--pairs must be at least 1 and --seconds positive")
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         parent_sha = export(args.parent_ref, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
-        results = {w: bench_workload(trees, w, args, spec) for w in args.workload or workloads}
+        results = {w["name"]: bench_workload(trees, w["name"], spec)
+                   for w in spec["workloads"]}
     dirty = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True,
                            text=True, check=True).stdout.strip() != ""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
@@ -152,7 +148,7 @@ def main(argv=None) -> int:
     report = {
         "parent": {"ref": args.parent_ref, "sha": parent_sha},
         "change": {"head": head, "uncommitted_changes": dirty},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+        "settings": {"pairs": PAIRS, "seconds": spec["run_seconds"], "seed": SEED,
                      "trace": "end-to-end untraced; per-layer from one traced run per side"},
         "environment": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "workloads": results,

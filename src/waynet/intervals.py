@@ -41,9 +41,6 @@ from typing import NamedTuple
 from waynet.core import Params, RelWaypoint
 from waynet.monitor import Undecided, controller_monitor
 
-_INF = math.inf
-_nextafter = math.nextafter
-_new_ivl = object.__new__
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _TINY = 2.0 ** -960   # below this a product's rounding error may not be a float
 _HUGE = 2.0 ** 960    # above this the split may overflow
@@ -69,8 +66,8 @@ def _sum(a: float, b: float) -> tuple[float, float]:
     s = a + b
     t = s - a
     err = (a - (s - t)) + (b - t)
-    return (s if err >= 0.0 else _nextafter(s, -_INF),
-            s if err <= 0.0 else _nextafter(s, _INF))
+    return (s if err >= 0.0 else math.nextafter(s, -math.inf),
+            s if err <= 0.0 else math.nextafter(s, math.inf))
 
 
 def _prod(a: float, b: float) -> tuple[float, float]:
@@ -86,11 +83,11 @@ def _prod(a: float, b: float) -> tuple[float, float]:
         bh = c - (c - b)
         bl = b - bh
         err = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-        return (p if err >= 0.0 else _nextafter(p, -_INF),
-                p if err <= 0.0 else _nextafter(p, _INF))
+        return (p if err >= 0.0 else math.nextafter(p, -math.inf),
+                p if err <= 0.0 else math.nextafter(p, math.inf))
     if p == 0.0 and (a == 0.0 or b == 0.0):
         return p, p
-    return _nextafter(p, -_INF), _nextafter(p, _INF)
+    return math.nextafter(p, -math.inf), math.nextafter(p, math.inf)
 
 
 def _quot(a: float, b: float) -> tuple[float, float]:
@@ -99,16 +96,21 @@ def _quot(a: float, b: float) -> tuple[float, float]:
     q = a / b
     if a == 0.0 or _prod(q, b) == (a, a):
         return q, q
-    return _nextafter(q, -_INF), _nextafter(q, _INF)
+    return math.nextafter(q, -math.inf), math.nextafter(q, math.inf)
 
 
 def _ivl(lo: float, hi: float) -> Ivl:
     if not lo <= hi:  # directed rounding keeps lo <= hi, so only a NaN fails
         raise NaNInterval(f"NaN endpoint: [{lo}, {hi}]")
-    r = _new_ivl(Ivl)
+    r = object.__new__(Ivl)
     r.lo = lo
     r.hi = hi
     return r
+
+
+def _add(a: float, b: float, c: float, d: float) -> Ivl:
+    """[a, b] + [c, d]."""
+    return _ivl(_sum(a, c)[0], _sum(b, d)[1])
 
 
 class Ivl:
@@ -123,9 +125,9 @@ class Ivl:
             hi = lo
         flo, fhi = float(lo), float(hi)
         if flo > lo:
-            flo = _nextafter(flo, -_INF)
+            flo = math.nextafter(flo, -math.inf)
         if fhi < hi:
-            fhi = _nextafter(fhi, _INF)
+            fhi = math.nextafter(fhi, math.inf)
         if flo != flo or fhi != fhi:
             raise NaNInterval(f"NaN endpoint: [{lo}, {hi}]")
         if flo > fhi:
@@ -137,19 +139,12 @@ class Ivl:
         return f"Ivl({self.lo!r}, {self.hi!r})"
 
     def __add__(self, other):
-        a, b = self.lo, self.hi
         c, d = _bounds(other)
-        if a == b and c == d:
-            return _ivl(*_sum(a, c))
-        return _ivl(_sum(a, c)[0], _sum(b, d)[1])
+        return _add(self.lo, self.hi, c, d)
 
     def __sub__(self, other):
-        a, b = self.lo, self.hi
-        lo, hi = _bounds(other)
-        c, d = -hi, -lo
-        if a == b and c == d:
-            return _ivl(*_sum(a, c))
-        return _ivl(_sum(a, c)[0], _sum(b, d)[1])
+        c, d = _bounds(other)
+        return _add(self.lo, self.hi, -d, -c)
 
     def __neg__(self):
         return _ivl(-self.hi, -self.lo)
@@ -159,8 +154,6 @@ class Ivl:
             return self.square()
         a, b = self.lo, self.hi
         c, d = _bounds(other)
-        if a == b and c == d:
-            return _ivl(*_prod(a, c))
         # Only the endpoint products that bound the result, by sign case, so
         # 0 * inf is computed only where it would be an endpoint.
         if a >= 0.0:
@@ -195,15 +188,11 @@ class Ivl:
         if d < 0.0:
             return -(self / _ivl(-d, -c))
         a, b = self.lo, self.hi
-        if a == b and c == d:
-            return _ivl(*_quot(a, c))
         return _ivl(_quot(a, d if a >= 0.0 else c)[0],
                     _quot(b, c if b >= 0.0 else d)[1])
 
     def square(self):
         a, b = self.lo, self.hi
-        if a == b:
-            return _ivl(*_prod(a, a))
         if a >= 0.0:
             return _ivl(_prod(a, a)[0], _prod(b, b)[1])
         if b <= 0.0:

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,13 +23,19 @@ def degenerate(x, y, k, vl, vh, v, a):
     return [Ivl(x), Ivl(y), Ivl(k), Ivl(vl), Ivl(vh), Ivl(v), Ivl(a)]
 
 
-# Fraction is the oracle: every float converts to it exactly. Magnitudes stay
-# within [2**-300, 2**300] (or zero), so no product or quotient leaves the
-# range in which the interval operations detect an exact result.
+# Fraction is the oracle: every float converts to it exactly. On the safe
+# range, magnitudes within [2**-300, 2**300] (or zero), no product or quotient
+# leaves the range in which the interval operations detect an exact result,
+# so an exact float result must stay a point. Over every finite float, from
+# the subnormals to the largest, results may overflow, underflow or lose the
+# exact error check, and must still enclose the exact result.
 _MAGNITUDE = st.floats(min_value=2.0 ** -300, max_value=2.0 ** 300)
 _FLOAT = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(operator.neg),
                    st.sampled_from([0.1, 0.2, 0.5, 1.0, 2.0, 3.0, -0.5]))
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_LARGEST = sys.float_info.max
+_SMALLEST = math.ulp(0.0)
 
 
 def _is_float(q: Fraction) -> bool:
@@ -39,47 +46,92 @@ def _encloses(ivl: Ivl, exact) -> bool:
     return ivl.lo <= exact <= ivl.hi
 
 
-@st.composite
-def _ivls(draw):
-    lo, hi = sorted((draw(_FLOAT), draw(_FLOAT)))
-    return Ivl(lo, draw(st.sampled_from([lo, hi])))
+def _ivls(floats):
+    @st.composite
+    def draw_ivl(draw):
+        lo, hi = sorted((draw(floats), draw(floats)))
+        return Ivl(lo, draw(st.sampled_from([lo, hi])))
+    return draw_ivl()
 
 
-@settings(max_examples=400)
-@given(_ivls(), _ivls(), st.sampled_from(sorted(_BINARY)))
-@example(Ivl(0.1), Ivl(0.2), "+")
-@example(Ivl(0.1), Ivl(0.3), "-")
-@example(Ivl(0.1), Ivl(3.0), "*")
-@example(Ivl(1.0), Ivl(3.0), "/")
-@example(Ivl(-1.0, 1.0), Ivl(3.0, 7.0), "/")
-def test_binary_ops_enclose_the_exact_result(x, y, name):
+def _assert_binary_encloses(x: Ivl, y: Ivl, name: str):
+    """x op y encloses op over every endpoint pair; returns the result and the
+    exact result of the last pair, or None when division by zero raised."""
     op = _BINARY[name]
     if name == "/" and y.lo <= 0.0 <= y.hi:
         with pytest.raises(ZeroDivideInterval):
             op(x, y)
-        return
+        return None
     result = op(x, y)
     for a in {x.lo, x.hi}:
         for b in {y.lo, y.hi}:
             exact = op(Fraction(a), Fraction(b))
             assert _encloses(result, exact), (a, name, b, result)
-    if x.lo == x.hi and y.lo == y.hi and _is_float(exact):
-        assert result.lo == result.hi == exact, (x, name, y, result)
+    return result, exact
 
 
-@settings(max_examples=400)
-@given(_ivls())
-@example(Ivl(0.1))
-@example(Ivl(-0.3, 0.1))
-def test_square_and_abs_enclose_the_exact_result(x):
+def _assert_square_and_abs_enclose(x: Ivl):
+    """x.square(), x * x and abs(x) enclose their exact images; returns
+    (result, exact image of x.lo) for each."""
+    checked = []
     for result, fn in ((x.square(), lambda q: q * q), (x * x, lambda q: q * q),
                        (abs(x), abs)):
         images = [fn(Fraction(e)) for e in (x.lo, x.hi)]
         if x.lo <= 0.0 <= x.hi:
             images.append(Fraction(0))
         assert all(_encloses(result, q) for q in images), (x, result)
-        if x.lo == x.hi and _is_float(images[0]):
-            assert result.lo == result.hi == images[0], (x, result)
+        checked.append((result, images[0]))
+    return checked
+
+
+@settings(max_examples=400)
+@given(_ivls(_FLOAT), _ivls(_FLOAT), st.sampled_from(sorted(_BINARY)))
+@example(Ivl(0.1), Ivl(0.2), "+")
+@example(Ivl(0.1), Ivl(0.3), "-")
+@example(Ivl(0.1), Ivl(3.0), "*")
+@example(Ivl(1.0), Ivl(3.0), "/")
+@example(Ivl(-1.0, 1.0), Ivl(3.0, 7.0), "/")
+def test_binary_ops_enclose_the_exact_result(x, y, name):
+    checked = _assert_binary_encloses(x, y, name)
+    if checked and x.lo == x.hi and y.lo == y.hi and _is_float(checked[1]):
+        result, exact = checked
+        assert result.lo == result.hi == exact, (x, name, y, result)
+
+
+@settings(max_examples=1000)
+@given(_ivls(_ANY_FLOAT), _ivls(_ANY_FLOAT), st.sampled_from(sorted(_BINARY)))
+@example(Ivl(_LARGEST), Ivl(_LARGEST), "+")             # sum overflows
+@example(Ivl(-_LARGEST), Ivl(_LARGEST), "-")
+@example(Ivl(2.0 ** 1000), Ivl(2.0 ** -100), "*")       # Veltkamp split overflows
+@example(Ivl(-(2.0 ** 1000)), Ivl(2.0 ** -90, 3.0), "*")
+@example(Ivl(1e300), Ivl(1e300), "*")                   # product overflows
+@example(Ivl(1e-200), Ivl(-1e-200, 1e-300), "*")        # product underflows
+@example(Ivl(_SMALLEST), Ivl(0.5), "*")
+@example(Ivl(2.0 ** -500), Ivl(2.0 ** -480), "*")       # exact, below 2**-960
+@example(Ivl(1e308), Ivl(1e-10), "/")                   # quotient overflows
+@example(Ivl(_SMALLEST), Ivl(3.0), "/")                 # quotient underflows
+@example(Ivl(-(2.0 ** -1000)), Ivl(2.0 ** 30, _LARGEST), "/")
+def test_binary_ops_enclose_the_exact_result_over_all_finite_floats(x, y, name):
+    _assert_binary_encloses(x, y, name)
+
+
+@settings(max_examples=400)
+@given(_ivls(_FLOAT))
+@example(Ivl(0.1))
+@example(Ivl(-0.3, 0.1))
+def test_square_and_abs_enclose_the_exact_result(x):
+    for result, exact in _assert_square_and_abs_enclose(x):
+        if x.lo == x.hi and _is_float(exact):
+            assert result.lo == result.hi == exact, (x, result)
+
+
+@settings(max_examples=400)
+@given(_ivls(_ANY_FLOAT))
+@example(Ivl(2.0 ** 997))                               # split overflows
+@example(Ivl(-_LARGEST, _SMALLEST))                      # square overflows
+@example(Ivl(_SMALLEST))                                 # square underflows
+def test_square_and_abs_enclose_the_exact_result_over_all_finite_floats(x):
+    _assert_square_and_abs_enclose(x)
 
 
 class TestIvl:
