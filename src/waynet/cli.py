@@ -230,6 +230,8 @@ def _cmd_monitor_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.case is not None and args.check not in ("progress", "all"):
+        raise ValueError(f"--case applies to 'progress' and 'all', not to {args.check!r}")
     reports = []
     if args.check in ("invariant", "all"):
         reports.append(verify_mod.check_invariant_preservation(n=args.n, seed=args.seed))

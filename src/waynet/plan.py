@@ -4,6 +4,10 @@ body-frame waypoint, and the built-in benchmark environments. A
 ``PlanGraph`` compiles itself once, on construction, into one ``Segment`` per
 edge and a successor table; target extraction reads only these.
 
+The target on a segment is the look-ahead-capped point when it is ahead of
+the robot; else the point 1/16 of the segment's remainder past the exact cut
+where the remainder enters the half-plane ahead; else the end node.
+
 Plan format ('#' starts a comment, whitespace-separated tokens)::
 
     node <id> <X> <Y> <vl> <vh>
@@ -84,8 +88,15 @@ class PlanGraph:
             a, b = self.nodes[e.frm], self.nodes[e.to]
             geom = arc_geometry(a.x, a.y, b.x, b.y, e.k) if e.kind == "arc" else None
             ux, uy = b.x - a.x, b.y - a.y
+            chord = math.hypot(ux, uy)
+            # The computed arc must end on its nodes; a NaN distance fails too.
+            if geom is not None and not all(
+                    math.dist(arc_point(geom, f), (n.x, n.y)) <= CO_CIRCULAR_RTOL * chord
+                    for f, n in ((0.0, a), (1.0, b))):
+                raise PlanError(f"arc edge {e.frm!r}->{e.to!r}: curvature {e.k:g} is too "
+                                f"small for floats to hold its circle; use a line")
             segments.append(Segment(a, b, e.k if geom is not None else 0.0, geom,
-                                    math.hypot(ux, uy), ux * ux + uy * uy))
+                                    chord, ux * ux + uy * uy))
             successors.setdefault(e.frm, []).append(i)
         object.__setattr__(self, "segments", tuple(segments))
         object.__setattr__(self, "_successors",
@@ -113,10 +124,10 @@ class PlanGraph:
                     raise PlanError(f"edge references unknown node {ref!r}")
             if not math.isfinite(e.k):
                 raise PlanError(f"edge {e.frm!r}->{e.to!r}: non-finite curvature")
+            a, b = self.nodes[e.frm], self.nodes[e.to]
             if e.kind == "arc":
                 if e.k == 0.0:
                     raise PlanError(f"arc edge {e.frm!r}->{e.to!r} has zero curvature")
-                a, b = self.nodes[e.frm], self.nodes[e.to]
                 radius = 1.0 / abs(e.k)
                 chord = math.hypot(b.x - a.x, b.y - a.y)
                 if chord == 0.0:
@@ -127,6 +138,9 @@ class PlanGraph:
                         f"fit on a circle of radius {radius:g} m")
             elif e.kind != "line":
                 raise PlanError(f"edge {e.frm!r}->{e.to!r}: unknown kind {e.kind!r}")
+            elif e.frm == self.start and (a.x, a.y) == (b.x, b.y):
+                raise PlanError(f"start edge {e.frm!r}->{e.to!r}: a line of zero length "
+                                f"gives no start heading")
         if not any(e.frm == self.start for e in self.edges):
             raise PlanError(f"start node {self.start!r} has no outgoing edges")
 
@@ -269,8 +283,6 @@ class Segment:
             t = ((pose.x - a.x) * (b.x - a.x) + (pose.y - a.y) * (b.y - a.y)) / self.chord2
             return min(1.0, max(0.0, t))
         theta = math.atan2(pose.y - geom.cy, pose.x - geom.cx)
-        if geom.sweep == 0.0:
-            return 1.0
         delta = theta - geom.theta0
         # Bring the offset into the turn direction's principal range.
         delta = math.remainder(delta, 2.0 * math.pi)
@@ -345,49 +357,43 @@ def _lookahead(v: float, target: ActiveTarget | None, p: Params) -> float:
     return L
 
 
-def _target_candidate(seg: Segment, pose: WorldPose, lookahead: float):
-    """Pick the target point on a segment: the end node, capped to at most
-    ``lookahead`` meters of path ahead of the robot's projection (arcs are
-    additionally capped at 90 degrees of remaining sweep), and pushed ahead of
-    the robot (x > 0) when it has drifted past. Returns (target, frac, rel)
-    with rel the target's body-frame (x, y)."""
-    here = seg.fraction(pose)
-    geom = seg.geom
-    if geom is not None:
-        max_sweep = min(math.pi / 2.0, lookahead / geom.radius)
-        frac = min(1.0, here + max_sweep / abs(geom.sweep))
-        target = seg.point(frac)
-        rel = to_relative(pose, target)
-        if rel[0] <= 0.0 and frac > here:
-            # Drifted past the capped target: re-aim at half the cap ahead.
-            frac = min(1.0, here + max_sweep / 2.0 / abs(geom.sweep))
-            target = seg.point(frac)
-            rel = to_relative(pose, target)
-    else:
-        frac = min(1.0, here + lookahead / seg.chord) if seg.chord > 0.0 else 1.0
-        target = seg.point(frac)
-        rel = to_relative(pose, target)
-    if rel[0] <= 0.0:
-        # Synthetic target: the first of 16 samples ahead on the segment with
-        # x > 0, else the end node.
-        for step in range(1, 17):
-            frac = here + (1.0 - here) * step / 16.0
-            target = seg.point(frac)
-            rel = to_relative(pose, target)
-            if rel[0] > 0.0:
-                break
-        else:
-            frac, target = 1.0, seg.point(1.0)
-            rel = to_relative(pose, target)
-    return target, frac, rel
-
-
 def target_for_edge(graph: PlanGraph, edge_index: int, pose: WorldPose,
                     lookahead: float) -> ActiveTarget:
-    """Body-frame active target for a segment from the current pose, at most
-    ``lookahead`` meters of path ahead (``math.inf``: no cap but the arc's)."""
+    """Body-frame active target on the remainder [here, 1] of a segment past
+    the robot's projection: the point ``lookahead`` meters of path on
+    (``math.inf``: the end node; arcs cap at 90 degrees) when it is ahead
+    (body-frame x > 0); else, when part of the remainder is ahead, the point
+    a margin of 1/16 of the remainder past the exact cut where the remainder
+    enters x > 0, capped at the end node; else the end node."""
     seg = graph.segments[edge_index]
-    target, frac, rel = _target_candidate(seg, pose, lookahead)
+    here = seg.fraction(pose)
+    geom = seg.geom
+    if geom is None:
+        frac = min(1.0, here + lookahead / seg.chord) if seg.chord > 0.0 else 1.0
+    else:
+        frac = min(1.0, here + min(math.pi / 2.0, lookahead / geom.radius) / abs(geom.sweep))
+    target = seg.point(frac)
+    rel = to_relative(pose, target)
+    if rel[0] <= 0.0:
+        # The remainder is ahead between the fractions enter and leave.
+        c, s = math.cos(pose.heading), math.sin(pose.heading)
+        if geom is None:  # x is linear in the fraction
+            dx = c * (seg.b.x - seg.a.x) + s * (seg.b.y - seg.a.y)
+            zero = frac - rel[0] / dx if dx != 0.0 else -math.inf
+            enter, leave = (zero, math.inf) if dx > 0.0 else (here, zero)
+        else:  # x = r (cos(theta - heading) - ratio) at angle theta on the circle
+            ratio = (c * (pose.x - geom.cx) + s * (pose.y - geom.cy)) / geom.radius
+            half = math.acos(min(1.0, max(-1.0, ratio)))
+            u = math.remainder(math.copysign(1.0, geom.sweep)
+                               * (geom.theta0 + here * geom.sweep - pose.heading), 2.0 * math.pi)
+            if u >= half:  # past this window: the next is a turn further on
+                u -= 2.0 * math.pi
+            enter = here + max(0.0, -half - u) / abs(geom.sweep)
+            leave = here + (half - u) / abs(geom.sweep)
+        cut = min(1.0, enter + (1.0 - here) / 16.0) if enter < leave else 1.0
+        if cut != frac:  # else rel already holds
+            frac, target = cut, seg.point(cut)
+            rel = to_relative(pose, target)
     wp = RelWaypoint(rel[0], rel[1], seg.k, seg.b.vl, seg.b.vh)
     return ActiveTarget(edge_index=edge_index, target_world=target, frac=frac, waypoint=wp)
 

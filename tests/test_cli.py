@@ -69,6 +69,40 @@ def test_check_plan_start_without_outgoing_edge_exits_2(tmp_path, capsys):
         assert "start node 'a' has no outgoing edges" in err
 
 
+@pytest.mark.parametrize("k", ["1e-310", "1e-300"])
+def test_arc_floats_cannot_hold_exits_2(tmp_path, capsys, k):
+    # 1e-310: the radius overflows and simulate used to raise ZeroDivisionError;
+    # 1e-300: the circle swamps the 20 m chord and no episode used to complete.
+    bad = tmp_path / "bad.plan"
+    bad.write_text(f"node a 0 0 1 5\nnode b 20 0 1 5\nedge a b arc {k}\nstart a\nterminal b\n")
+    for command in (["check-plan", str(bad)], ["simulate", "--plan", str(bad), "--episodes", "1"]):
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert "arc edge 'a'->'b'" in err and "use a line" in err
+
+
+_ZERO_START = ("node a 0 0 1 5\nnode b 0 0 1 5\nnode c 0 20 1 5\n"
+               "edge a b line\nedge b c line\nstart a\nterminal c\n")
+
+
+def test_check_plan_zero_length_start_line_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.plan"
+    bad.write_text(_ZERO_START)
+    code, out, err = run(capsys, "check-plan", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "start edge 'a'->'b'" in err
+
+
+def test_check_plan_zero_length_line_mid_course_ok(tmp_path, capsys):
+    plan = tmp_path / "mid.plan"
+    plan.write_text("node s 0 -10 1 5\n" + _ZERO_START.replace("start a", "edge s a line\nstart s"))
+    code, out, _ = run(capsys, "check-plan", str(plan))
+    assert code == 0
+    assert out.startswith("ok: 4 nodes, 3 edges")
+
+
 def test_check_plan_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "check-plan", "/nonexistent/x.plan")
     assert code == 2
@@ -240,6 +274,14 @@ def test_verify_progress_single_case(capsys):
                        "--case", "slowdown")
     assert code == 0
     assert "progress_slowdown" in out
+
+
+@pytest.mark.parametrize("check", ["invariant", "oracle"])
+def test_verify_case_without_progress_exits_2(capsys, check):
+    code, out, err = run(capsys, "verify", check, "--case", "cruise", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "--case" in err
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+import waynet.plan
 from waynet.core import Params, WorldPose
 from waynet.dynamics import to_relative
-from waynet.plan import (ActiveTarget, DEFAULT_SCALES, DeadEnd, ENVIRONMENTS, PlanError,
-                         arc_geometry, arc_heading, arc_point, curvature_through,
-                         deterministic_first, gen_environment, initial_state,
+from waynet.plan import (ActiveTarget, CO_CIRCULAR_RTOL, DEFAULT_SCALES, DeadEnd,
+                         ENVIRONMENTS, PlanError, arc_geometry, arc_heading, arc_point,
+                         curvature_through, deterministic_first, gen_environment, initial_state,
                          next_target, parse_plan, seeded_random, serialize,
                          target_for_edge)
 
@@ -122,6 +123,16 @@ class TestCompiledPlan:
         with pytest.raises(PlanError, match="endpoints coincide"):
             parse_plan("node a 1 1 0 1\nnode b 1 1 0 1\nstart a\nedge a b arc 0.5\n")
 
+    def test_gentle_arc_still_compiles(self):
+        arc, = parse_plan("node a 0 0 1 5\nnode b 20 0 1 5\nstart a\nedge a b arc 1e-6\n").segments
+        assert arc.point(1.0) == pytest.approx((20.0, 0.0), abs=1e-9)
+
+    @pytest.mark.parametrize("name", ENVIRONMENTS)
+    def test_built_in_arcs_end_on_their_nodes(self, name):
+        for seg in gen_environment(name).segments:
+            for frac, node in ((0.0, seg.a), (1.0, seg.b)):
+                assert math.dist(seg.point(frac), (node.x, node.y)) <= CO_CIRCULAR_RTOL * seg.chord
+
 
 class TestArcGeometry:
     def test_left_half_circle(self):
@@ -204,6 +215,58 @@ class TestTargets:
         pose = WorldPose(5.0, 0.5, math.pi)
         t = target_for_edge(g, 0, pose, math.inf)
         assert t.target_world == pytest.approx((10.0, 0.0))
+
+    @pytest.mark.parametrize("edge_index, pose", [
+        (0, WorldPose(5.0, 0.5, -2.0 * math.pi / 3.0)),
+        (0, WorldPose(5.0, 0.5, math.pi)),
+        # midway along the arc, heading against its direction of travel
+        (1, WorldPose(10.0 + math.sqrt(2.0), 2.0 - math.sqrt(2.0), -0.75 * math.pi)),
+        # turned outward: only a sliver of the arc past the projection is ahead
+        (1, WorldPose(10.0 + math.sqrt(2.0), 2.0 - math.sqrt(2.0), 0.25 * math.pi + 2.0)),
+    ])
+    @pytest.mark.parametrize("lookahead", [1.0, math.inf])
+    def test_turned_around_costs_at_most_two_transforms(self, monkeypatch, edge_index,
+                                                        pose, lookahead):
+        calls = []
+
+        def counting(pose, world_pt):
+            calls.append(world_pt)
+            return to_relative(pose, world_pt)
+
+        monkeypatch.setattr(waynet.plan, "to_relative", counting)
+        g = parse_plan(SIMPLE)
+        t = target_for_edge(g, edge_index, pose, lookahead)
+        assert 1 <= len(calls) <= 2
+        assert calls[-1] == t.target_world
+
+    def test_arc_target_is_one_step_past_the_exact_cut(self):
+        # A half circle of radius 10 (center (10, 0)) dipping to (10, -10).
+        # The robot faces north-east, so the start of the arc is behind it.
+        g = parse_plan("node a 0 0 1 5\nnode b 20 0 1 5\nstart a\nedge a b arc 0.1\n")
+        seg = g.segments[0]
+        pose = WorldPose(1.0, -2.0, 0.9)
+        here = seg.fraction(pose)
+        t = target_for_edge(g, 0, pose, 2.0)
+        capped = here + 2.0 / 10.0 / math.pi
+        assert to_relative(pose, seg.point(capped))[0] <= 0.0
+        # Oracle: the first of 100,001 samples of the remainder that is ahead.
+        n = 100_000
+        enter = next(here + (1.0 - here) * i / n for i in range(n + 1)
+                     if to_relative(pose, seg.point(here + (1.0 - here) * i / n))[0] > 0.0)
+        assert 0.5 < enter < 1.0 - (1.0 - here) / 16.0
+        assert t.frac == pytest.approx(enter + (1.0 - here) / 16.0, abs=(1.0 - here) / n)
+        assert to_relative(pose, t.target_world)[0] > 0.0
+
+    @pytest.mark.parametrize("edge_index, pose", [
+        (0, WorldPose(5.0, 0.5, math.pi)),
+        (1, WorldPose(10.0 + math.sqrt(2.0), 2.0 - math.sqrt(2.0), -0.75 * math.pi)),
+    ])
+    def test_nothing_ahead_targets_the_end_node_exactly(self, edge_index, pose):
+        g = parse_plan(SIMPLE)
+        seg = g.segments[edge_index]
+        t = target_for_edge(g, edge_index, pose, 1.0)
+        assert (t.frac, t.target_world) == (1.0, seg.point(1.0))
+        assert t.waypoint.x == to_relative(pose, seg.point(1.0))[0] <= 0.0
 
     def test_advance_within_tolerance(self):
         g = parse_plan(SIMPLE)
