@@ -9,6 +9,13 @@ the sensed state against the in-force target (fallback next cycle on
 failure) -> record. The plant monitor's body-frame view of the in-force
 target is the next cycle's input to target extraction.
 
+An episode ends at a terminal node (completed), at a dead end, after
+``max_cycles``, or as stuck at the first cycle that leaves the loop state (v,
+pose, target, pending fallback, pd's residual memory, goal-region hint) as it
+found it. Such a cycle moved nothing, so its jittered duration changed only
+the elapsed time; the branch policy, the one other input, runs only when the
+target moves to another edge. Every later cycle would repeat it.
+
 Safety accounting follows the goal-region contract: a cycle is a safety
 violation when the vehicle is inside the goal region (Euclidean distance
 <= tol) above the upper speed limit at any point of its arc; the arc's first
@@ -189,11 +196,11 @@ def run_episode(cfg: EpisodeConfig):
     below_vl_at_goal = 0
     pending_fallback = False
     completed = False
-    stalled_cycles = 0
     prev_e = 0.0
     distance = 0.0
     elapsed_total = 0.0
     reached_hint = False
+    prev_state = None
     rows: list[LogRow] = []
 
     T = p.cycle_max
@@ -289,14 +296,11 @@ def run_episode(cfg: EpisodeConfig):
         pose, v = new_pose, vv
         cycles += 1
 
-        # A standstill under sustained monitor rejection cannot resolve itself:
-        # the contract for the current waypoint is unreachable. Call it stuck.
-        if v == 0.0 and fallback and cfg.monitoring:
-            stalled_cycles += 1
-            if stalled_cycles >= 50:
-                break
-        else:
-            stalled_cycles = 0
+        # Stuck: this cycle left the loop state as it found it (module docstring).
+        state = (v, pose, target, pending_fallback, prev_e, reached_hint)
+        if state == prev_state:
+            break
+        prev_state = state
 
     avg_speed = distance / elapsed_total if elapsed_total > 0.0 else 0.0
     report = EpisodeReport(

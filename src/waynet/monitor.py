@@ -133,8 +133,13 @@ def _go_branch(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool) -> b
         gap_term = (wp.vl * wp.vl - v_end * v_end) / (2 * p.accel_max)
     bloat = 1.0 + abs(wp.k) * p.tol
     need = bloat * bloat * (v * T + a * T * T / 2.0 + gap_term) + p.tol
-    if need <= inf_norm(wp.x, wp.y):
-        return True
+    # need <= max(|x|, |y|) side by side: over boxes, max(|x|, |y|) can be undecided.
+    for side in (wp.x, wp.y):
+        try:
+            if need <= abs(side):
+                return True
+        except Undecided:
+            undecided = True
     if undecided:
         raise Undecided
     return False

@@ -122,6 +122,8 @@ class PlanGraph:
             for ref in (e.frm, e.to):
                 if ref not in self.nodes:
                     raise PlanError(f"edge references unknown node {ref!r}")
+            if e.frm == e.to:
+                raise PlanError(f"edge {e.frm!r}->{e.to!r} loops back to its own node")
             if not math.isfinite(e.k):
                 raise PlanError(f"edge {e.frm!r}->{e.to!r}: non-finite curvature")
             a, b = self.nodes[e.frm], self.nodes[e.to]

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from waynet.core import Params, RelWaypoint, euclid_norm, inf_norm
-from waynet.dynamics import closed_form_relative
+from waynet.dynamics import closed_form_relative, goal_span
 from waynet.monitor import feas, go, invariant_j
 from waynet.plan import curvature_through
 
@@ -27,7 +27,6 @@ DIST_MAX = 60.0
 
 DEFAULT_SLACK = 1e-9
 TIME_POINTS = 100      # flow samples per invariant or progress check
-REFINE_ITERS = 80      # ternary-search steps of the cruise trough refinement
 SIMPSON_POINTS = 200   # Simpson panels of the oracle's distance quadrature
 
 
@@ -195,39 +194,25 @@ def check_progress(case: str, n: int = 1_000, seed: int = 0) -> CheckReport:
                 return x * x + y * y - p.tol * p.tol
 
         prev = g(*_flow(sample, 0.0))
-        prev_t = older_t = 0.0
+        prev_t = 0.0
         for j in range(1, TIME_POINTS + 1):
             t = horizon * j / TIME_POINTS
             value = g(*_flow(sample, t))
             if value >= prev:
-                # The goal trough can be narrower than the sampling step:
-                # refine before declaring non-monotonicity.
-                if case == "cruise" and _refined_min(sample, g, older_t, t) <= 0.0:
-                    break  # dipped into the goal region between samples
+                # The goal trough can be narrower than the sampling step.
+                if case == "cruise" and goal_span(wp.x, wp.y, wp.k, v * t, p.tol) is not None:
+                    break  # entered the goal region between samples
                 violations.append(Violation(sample, t, f"{case}: g did not decrease "
                                             f"({prev:.6g} -> {value:.6g})"))
                 break
             decrease = (prev - value) / (t - prev_t)
             min_decrease = min(min_decrease, decrease)
-            older_t, prev, prev_t = prev_t, value, t
+            prev, prev_t = value, t
             if case == "cruise" and value <= 0.0:
                 break  # inside the goal region
 
     note = f"min decrease rate {min_decrease:.6g}/s" if min_decrease < math.inf else ""
     return CheckReport(f"progress_{case}", n, tuple(violations), note)
-
-
-def _refined_min(sample: StateSample, g, t_lo: float, t_hi: float) -> float:
-    """Ternary-search minimum of g along the flow over [t_lo, t_hi]."""
-    lo, hi = t_lo, t_hi
-    for _ in range(REFINE_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if g(*_flow(sample, m1)) <= g(*_flow(sample, m2)):
-            hi = m2
-        else:
-            lo = m1
-    return g(*_flow(sample, (lo + hi) / 2.0))
 
 
 def _quadrature_distance(v0: float, a: float, duration: float) -> float:

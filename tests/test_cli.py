@@ -82,6 +82,18 @@ def test_arc_floats_cannot_hold_exits_2(tmp_path, capsys, k):
         assert "arc edge 'a'->'b'" in err and "use a line" in err
 
 
+@pytest.mark.parametrize("kind", ["line", "arc 0.5"])
+def test_self_loop_edge_exits_2(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.plan"
+    bad.write_text("node s 0 0 2 6\nnode a 20 0 2 6\nnode b 40 0 2 6\n"
+                   f"edge s a line\nedge a a {kind}\nedge a b line\nstart s\nterminal b\n")
+    for command in (["check-plan", str(bad)], ["simulate", "--plan", str(bad), "--episodes", "1"]):
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert "edge 'a'->'a' loops back to its own node" in err
+
+
 _ZERO_START = ("node a 0 0 1 5\nnode b 0 0 1 5\nnode c 0 20 1 5\n"
                "edge a b line\nedge b c line\nstart a\nterminal c\n")
 

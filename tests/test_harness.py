@@ -9,6 +9,12 @@ RECT = gen_environment("rect")
 
 MILD = Disturbance(curvature_gain_error=0.05, curvature_bias=0.002,
                    accel_gain_error=0.05, cycle_jitter=0.1)
+README_DISTURBANCE = Disturbance(0.1, 0.002, 0.1, 0.1)
+
+
+def _states(rows):
+    """Each log row without its cycle number and time."""
+    return [line.split(",")[2:] for line in format_log(rows).splitlines()[1:]]
 
 
 def test_known_controllers():
@@ -136,3 +142,27 @@ def test_max_cycles_bound():
                                        seed=0, max_cycles=10))
     assert rep.cycles <= 10
     assert not rep.completed
+
+
+def test_stuck_episode_ends_at_its_first_repeated_cycle():
+    rep, rows = run_episode(EpisodeConfig(gen_environment("clover"), "clover", "pd1",
+                                          disturbance=README_DISTURBANCE, seed=1))
+    states = _states(rows)
+    assert not rep.completed
+    assert rep.cycles == len(rows) == 51
+    assert states[-1] == states[-2]
+    assert all(a != b for a, b in zip(states[:-2], states[1:-1]))
+
+
+def test_standstill_before_a_pending_fallback_is_not_stuck():
+    # Cycle 52 brakes to a standstill and fails the plant check, so cycle 53
+    # is a fallback at v = 0; cycle 54 starts from the same standstill with no
+    # fallback pending, passes the gate and moves on.
+    rep, rows = run_episode(EpisodeConfig(gen_environment("turns"), "turns", "adversarial",
+                                          disturbance=Disturbance(0.2, 0.01, 0.2, 0.3),
+                                          seed=9))
+    assert rows[52].plant_verdict != "pass"
+    assert rows[53].v == rows[54].v == 0.0
+    assert rows[53].a_acted <= 0.0 < rows[54].a_acted
+    assert rows[55].v > 0.0
+    assert rep.completed and rep.cycles == 71

@@ -230,6 +230,13 @@ class TestVerdicts:
         v = interval_eval_controller(*degenerate(12.0, 0.0, 0.0, 2.0, 4.0, 2.0, 0.0), P)
         assert v is IntervalVerdict.DEFINITELY_TRUE
 
+    def test_distance_clause_decided_where_abs_x_and_abs_y_overlap(self):
+        # |x| in [4.99, 5.01] overlaps |y| = 5, so max(|x|, |y|) is undecided;
+        # need <= |y| holds on the whole box.
+        v = interval_eval_controller(Ivl(4.99, 5.01), Ivl(5.0), Ivl(0.2), Ivl(1.0),
+                                     Ivl(2.0), Ivl(2.5), Ivl(-1.0), P)
+        assert v is IntervalVerdict.DEFINITELY_TRUE
+
     def test_straddling_distance_boundary(self):
         v = interval_eval_controller(
             *box((10.9, 12.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (2.0, 2.0),
