@@ -43,7 +43,7 @@ def _parse_disturbance(text: str) -> Disturbance:
 
 
 def _count(text: str) -> int:
-    """argparse type of --episodes and --n: a whole number of at least 1."""
+    """argparse type of --episodes, --max-cycles and --n: a whole number of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--scale", type=float,
                      help="course scale (m); default: each course's own")
-    sim.add_argument("--max-cycles", type=int, default=2000)
+    sim.add_argument("--max-cycles", type=_count, default=2000)
     sim.add_argument("--branch", choices=("first", "random"), default="first")
     sim.add_argument("--disturbance", type=_parse_disturbance,
                      default=Disturbance(), metavar="GAIN,BIAS,ACCEL,JITTER")

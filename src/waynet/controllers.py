@@ -20,7 +20,7 @@ from waynet.plan import curvature_through
 ACCEL_BISECT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PdGains:
     kp: float             # curvature per meter of residual
     kd: float             # curvature per (m/s) of residual rate

@@ -1,4 +1,9 @@
-"""Shared domain types, norms, and parameter validation."""
+"""Shared domain types, norms, and parameter validation.
+
+Values built every cycle are slotted, not frozen, dataclasses: a frozen
+``__init__`` sets each field through ``object.__setattr__``. They still compare
+by value, which the harness's stuck rule needs; no code mutates or hashes them.
+"""
 
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ class Params:
                                  f"got {name}={value!r}, cycle_max={T!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RelWaypoint:
     """Waypoint in the vehicle's body frame: positive x forward, positive y left.
 
@@ -59,7 +64,7 @@ def normalize_angle(psi: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WorldPose:
     """World-frame pose backing the body-frame view. Heading normalized to (-pi, pi]."""
 
@@ -68,7 +73,7 @@ class WorldPose:
     heading: float  # rad
 
     def __post_init__(self):
-        object.__setattr__(self, "heading", normalize_angle(self.heading))
+        self.heading = normalize_angle(self.heading)
 
 
 def inf_norm(x: float, y: float) -> float:

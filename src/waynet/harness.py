@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from waynet.core import Params, RelWaypoint
 from waynet.dynamics import Disturbance, actuated, arc_step, goal_span, to_relative
 from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
-from waynet.monitor import (PASS, Clause, MonitorVerdict, ann_residual, controller_monitor,
-                            fallback_accel, plant_monitor)
+from waynet.monitor import (PASS, Clause, MonitorVerdict, _fail, ann_residual,
+                            controller_monitor, fallback_accel, plant_monitor)
 from waynet.controllers import (PdGains, bang_bang, choose_accel, declared_curvature,
                                 liveness_accel, pd)
 from waynet.plan import (DeadEnd, PlanGraph, deterministic_first, initial_state,
@@ -112,7 +112,7 @@ class EpisodeReport:
             raise ValueError("failure rates must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogRow:
     """One control cycle: state sensed at cycle start, the decision, and the
     monitor verdicts (the plant verdict refers to the end of this cycle)."""
@@ -154,7 +154,7 @@ def _gate(wp: RelWaypoint, v: float, a: float, p: Params,
         iv = interval_eval_controller(Ivl(wp.x), Ivl(wp.y), Ivl(wp.k),
                                       Ivl(wp.vl), Ivl(wp.vh), Ivl(v), Ivl(a), p)
         if iv is not IntervalVerdict.DEFINITELY_TRUE:
-            return MonitorVerdict(False, Clause.INTERVAL_UNDECIDED)
+            return _fail(Clause.INTERVAL_UNDECIDED)
     return verdict
 
 

@@ -61,10 +61,12 @@ class MonitorVerdict:
 
 
 PASS = MonitorVerdict(True, Clause.NONE)
+# A frozen verdict can be shared: one failing verdict per clause, checked once at import.
+_FAILS = {c: MonitorVerdict(False, c) for c in Clause if c is not Clause.NONE}
 
 
 def _fail(clause: Clause) -> MonitorVerdict:
-    return MonitorVerdict(False, clause)
+    return _FAILS[clause]
 
 
 def ann_residual(x: float, y: float, k: float, eps: float) -> float:

@@ -309,7 +309,7 @@ def curvature_through(x: float, y: float, eps: float) -> float:
     return 2.0 * y / (d2 - eps * eps)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ActiveTarget:
     edge_index: int
     target_world: tuple[float, float]

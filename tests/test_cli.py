@@ -181,6 +181,18 @@ def test_simulate_rejects_episodes_below_1(capsys, episodes):
     assert "--episodes" in captured.err
 
 
+@pytest.mark.parametrize("max_cycles", ["0", "-5"])
+def test_simulate_rejects_max_cycles_below_1(tmp_path, capsys, max_cycles):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--max-cycles", max_cycles, "--out", str(out_dir)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-cycles" in captured.err
+    assert not out_dir.exists()
+
+
 def test_simulate_overflowing_cycle_exits_2(capsys):
     # A*T^2 overflows for a 1e308 s cycle: rejected before the first cycle.
     code, out, err = run(capsys, "simulate", "--episodes", "1", "--cycle", "1e308")

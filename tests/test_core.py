@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from waynet.core import (Params, WorldPose, euclid_norm, inf_norm,
+from waynet.core import (Params, RelWaypoint, WorldPose, euclid_norm, inf_norm,
                          normalize_angle)
+from waynet.dynamics import arc_step
+from waynet.plan import ActiveTarget
 
 
 def test_inf_norm_values():
@@ -64,3 +66,45 @@ def test_normalize_angle_is_idempotent_and_bounded(psi):
 def test_world_pose_normalizes_heading():
     pose = WorldPose(1.0, 2.0, 3.0 * math.pi)
     assert pose.heading == pytest.approx(math.pi)
+    assert WorldPose(0.0, 0.0, 3.0 * math.pi).heading == pytest.approx(math.pi)
+
+
+def test_arc_step_pose_normalizes_heading_after_many_turns():
+    # 100 full turns plus 0.5 rad on a unit circle at 1 m/s.
+    pose, _, s = arc_step(WorldPose(0.0, 0.0, 0.0), 1.0, 1.0, 0.0, 200.0 * math.pi + 0.5)
+    assert s == 200.0 * math.pi + 0.5
+    assert -math.pi < pose.heading <= math.pi
+    assert pose.heading == pytest.approx(0.5, abs=1e-9)
+
+
+# Each builder returns fresh objects for the same fields, so equality cannot
+# rest on identity. run_episode's stuck rule compares consecutive loop states
+# (v, pose, target, ...) by value.
+_VALUE_TYPES = {
+    "RelWaypoint": (RelWaypoint, lambda: dict(x=4.0, y=-1.5, k=0.25, vl=1.0, vh=3.0)),
+    "WorldPose": (WorldPose, lambda: dict(x=4.0, y=-1.5, heading=0.5)),
+    "ActiveTarget": (ActiveTarget, lambda: dict(
+        edge_index=2, target_world=(4.0, -1.5), frac=0.25,
+        waypoint=RelWaypoint(4.0, -1.5, 0.25, 1.0, 3.0))),
+}
+
+
+def _changed(value):
+    if isinstance(value, RelWaypoint):
+        return RelWaypoint(value.x, value.y, value.k, value.vl, value.vh + 1.0)
+    if isinstance(value, tuple):
+        return (value[0], value[1] + 1.0)
+    return value + 1
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_TYPES))
+def test_per_cycle_values_compare_by_value(name):
+    cls, fields = _VALUE_TYPES[name]
+    a, b = cls(**fields()), cls(**fields())
+    assert a is not b
+    assert a == b and not a != b
+    assert a != tuple(fields().values())
+    for field in fields():
+        changed = fields()
+        changed[field] = _changed(changed[field])
+        assert cls(**changed) != a, field

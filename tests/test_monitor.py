@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from waynet.core import Params, RelWaypoint
-from waynet.monitor import (Clause, MonitorVerdict, ann_clause, ann_residual,
+from waynet.monitor import (Clause, MonitorVerdict, _fail, ann_clause, ann_residual,
                             controller_monitor, delta_lim, fallback_accel, feas,
                             go, invariant_j, lim, plant_monitor)
 
@@ -165,6 +165,16 @@ def test_monitor_verdict_consistency_enforced():
         MonitorVerdict(True, Clause.AHEAD)
     with pytest.raises(ValueError):
         MonitorVerdict(False, Clause.NONE)
+
+
+@pytest.mark.parametrize("clause", [c for c in Clause if c is not Clause.NONE],
+                         ids=lambda c: c.value)
+def test_shared_failing_verdict_names_its_clause(clause):
+    verdict = _fail(clause)
+    assert verdict.passed is False
+    assert verdict.failed_clause is clause
+    assert not verdict
+    assert _fail(clause) is verdict
 
 
 class TestToy1D:
