@@ -8,6 +8,7 @@ invalid plan or configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -66,6 +67,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
                    help="maximum braking B (m/s^2)")
 
 
+@functools.cache  # built on the first main() call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waynet", description="Runtime-monitored waypoint following.")
@@ -256,8 +258,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (PlanError, ValueError, OSError) as exc:

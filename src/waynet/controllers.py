@@ -11,26 +11,12 @@ sent to actuation may differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from waynet.core import Params, RelWaypoint
 from waynet.monitor import ann_residual, fallback_accel, go
 from waynet.plan import curvature_through
 
 ACCEL_BISECT_TOL = 1e-6
-
-
-@dataclass(slots=True)
-class PdGains:
-    kp: float             # curvature per meter of residual
-    kd: float             # curvature per (m/s) of residual rate
-    curvature_max: float  # clamp on the commanded curvature
-
-    def __post_init__(self):
-        if self.kp < 0.0 or self.kd < 0.0:
-            raise ValueError("PD gains must be non-negative")
-        if not self.curvature_max > 0.0:
-            raise ValueError("curvature_max must be positive")
 
 
 def bang_bang(x: float, y: float, k_seg: float, eps: float, deadband: float,
@@ -45,15 +31,14 @@ def bang_bang(x: float, y: float, k_seg: float, eps: float, deadband: float,
     return k_seg - math.copysign(k_max, e)
 
 
-def pd(x: float, y: float, prev_e: float, dt: float, k_seg: float, eps: float,
-       g: PdGains) -> float:
-    """Proportional-derivative steering on the band residual toward the
-    body-frame target (x, y), clamped."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    e = ann_residual(x, y, k_seg, eps)
-    cmd = k_seg - (g.kp * e + g.kd * (e - prev_e) / dt)
-    return min(g.curvature_max, max(-g.curvature_max, cmd))
+def pd(e: float, prev_e: float, dt: float, k_seg: float, kp: float, kd: float,
+       k_max: float) -> float:
+    """Proportional-derivative steering on the band residual e (prev_e one
+    cycle of dt > 0 earlier) around the segment curvature, clamped to
+    [-k_max, k_max]. The gains kp (curvature per meter of residual) and kd
+    (per m/s of residual rate) are non-negative."""
+    cmd = k_seg - (kp * e + kd * (e - prev_e) / dt)
+    return min(k_max, max(-k_max, cmd))
 
 
 def choose_accel(wp: RelWaypoint, v: float, p: Params, target_speed: float) -> float:
@@ -64,19 +49,19 @@ def choose_accel(wp: RelWaypoint, v: float, p: Params, target_speed: float) -> f
     a_lo = -p.brake_max
     if a_hi < a_lo:
         a_hi = a_lo
-    if go(wp, v, a_hi, p):
+    if go(wp, v, a_hi, p).passed:
         return a_hi
-    if not go(wp, v, a_lo, p):
+    if not go(wp, v, a_lo, p).passed:
         return fallback_accel(v, p)
     # go holds at a_lo and fails at a_hi: bisect the boundary.
     lo, hi = a_lo, a_hi
     while hi - lo > ACCEL_BISECT_TOL:
         mid = (lo + hi) / 2.0
-        if go(wp, v, mid, p):
+        if go(wp, v, mid, p).passed:
             lo = mid
         else:
             hi = mid
-    if go(wp, v, lo, p):
+    if go(wp, v, lo, p).passed:
         return lo
     return fallback_accel(v, p)
 

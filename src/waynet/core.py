@@ -2,13 +2,15 @@
 
 Values built every cycle are slotted, not frozen, dataclasses: a frozen
 ``__init__`` sets each field through ``object.__setattr__``. They still compare
-by value, which the harness's stuck rule needs; no code mutates or hashes them.
+by value, which the harness's stuck rule needs; no code hashes them, and none
+sets a field after construction. ``WorldPose`` derives its heading's cosine
+and sine at construction, as fields left out of ``==`` and ``repr``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,18 @@ def normalize_angle(psi: float) -> float:
 
 @dataclass(slots=True)
 class WorldPose:
-    """World-frame pose backing the body-frame view. Heading normalized to (-pi, pi]."""
+    """World-frame pose backing the body-frame view. Heading normalized to
+    (-pi, pi]; ``cos`` and ``sin`` are its cosine and sine, computed once."""
 
     x: float        # m
     y: float        # m
     heading: float  # rad
+    cos: float = field(init=False, repr=False, compare=False)
+    sin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.heading = normalize_angle(self.heading)
+        self.heading = heading = normalize_angle(self.heading)
+        self.cos, self.sin = math.cos(heading), math.sin(heading)
 
 
 def inf_norm(x: float, y: float) -> float:

@@ -86,7 +86,7 @@ def arc_step(pose: WorldPose, v: float, k: float, a: float, dt: float):
     u = k * s
     _, _, sinc, hvc = _arc_terms(u)
     dx, dy = s * sinc, s * hvc
-    c, sn = math.cos(pose.heading), math.sin(pose.heading)
+    c, sn = pose.cos, pose.sin
     return WorldPose(pose.x + c * dx - sn * dy, pose.y + sn * dx + c * dy,
                      pose.heading + u), v1, s
 
@@ -145,5 +145,5 @@ def to_relative(pose: WorldPose, world_pt):
     """A world point in the body frame, as (x, y): forward = +x, left = +y."""
     dx = world_pt[0] - pose.x
     dy = world_pt[1] - pose.y
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    c, s = pose.cos, pose.sin
     return c * dx + s * dy, -s * dx + c * dy

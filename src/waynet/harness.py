@@ -36,7 +36,7 @@ from waynet.dynamics import Disturbance, actuated, arc_step, goal_span, to_relat
 from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
 from waynet.monitor import (PASS, Clause, MonitorVerdict, _fail, ann_residual,
                             controller_monitor, fallback_accel, plant_monitor)
-from waynet.controllers import (PdGains, bang_bang, choose_accel, declared_curvature,
+from waynet.controllers import (bang_bang, choose_accel, declared_curvature,
                                 liveness_accel, pd)
 from waynet.plan import (DeadEnd, PlanGraph, deterministic_first, initial_state,
                          next_target, seeded_random)
@@ -55,6 +55,11 @@ class ControllerProfile:
     kp: float = 0.0
     kd: float = 0.0
     k_max: float = 2.0
+
+    def __post_init__(self):
+        if not (self.kp >= 0.0 and self.kd >= 0.0 and self.k_max > 0.0):
+            raise ValueError(f"need kp, kd >= 0 and k_max > 0, got kp={self.kp!r}, "
+                             f"kd={self.kd!r}, k_max={self.k_max!r}")
 
 
 PROFILES = {
@@ -167,12 +172,12 @@ def _steering(profile: ControllerProfile, wp: RelWaypoint, k_decl: float, v: flo
     if profile.kind == "pd":
         # Gain scheduling: the band residual's per-cycle sensitivity to a
         # curvature change grows like v*x*T, so normalize the gains by it to
-        # keep the discrete loop stable across course scales and speeds.
+        # keep the discrete loop stable across course scales and speeds. The
+        # scale is at least 1, so the profile's checks cover the scaled gains.
         scale = 1.0 + v * max(wp.x, 0.0) * p.cycle_max
-        gains = PdGains(kp=profile.kp / scale, kd=profile.kd / scale,
-                        curvature_max=profile.k_max)
-        cmd = pd(wp.x, wp.y, prev_e, p.cycle_max, wp.k, eps, gains)
-        return cmd, ann_residual(wp.x, wp.y, wp.k, eps)
+        e = ann_residual(wp.x, wp.y, wp.k, eps)
+        return pd(e, prev_e, p.cycle_max, wp.k, profile.kp / scale, profile.kd / scale,
+                  profile.k_max), e
     # liveness and adversarial steer the declared (residual-zeroing) curvature.
     return k_decl, 0.0
 
@@ -182,6 +187,9 @@ def run_episode(cfg: EpisodeConfig):
     p = cfg.params
     graph = cfg.plan
     profile = PROFILES[cfg.controller]
+    kind, disturbance = profile.kind, cfg.disturbance
+    monitoring, interval_mode = cfg.monitoring, cfg.interval_mode
+    collect_log, max_cycles = cfg.collect_log, cfg.max_cycles
     rng = random.Random(cfg.seed)
     policy = seeded_random(rng.randrange(2**32)) if cfg.branch == "random" \
         else deterministic_first
@@ -206,11 +214,10 @@ def run_episode(cfg: EpisodeConfig):
     T = p.cycle_max
     eps = p.tol
 
-    while cycles < cfg.max_cycles:
+    while cycles < max_cycles:
         if cycles > 0:
             try:
-                target = next_target(graph, target, pose, rel2, v, p, policy,
-                                     reached_hint=reached_hint)
+                target = next_target(graph, target, pose, rel2, v, p, policy, reached_hint)
             except DeadEnd as end:
                 completed = end.completed
                 break
@@ -220,9 +227,9 @@ def run_episode(cfg: EpisodeConfig):
         wp_decl = RelWaypoint(wp_seg.x, wp_seg.y, k_decl, wp_seg.vl, wp_seg.vh)
 
         # Untrusted proposal.
-        if profile.kind == "liveness":
+        if kind == "liveness":
             a_prop = liveness_accel(v, wp_seg.vl, wp_seg.vh, p.accel_max, p.brake_max)
-        elif profile.kind == "adversarial":
+        elif kind == "adversarial":
             a_prop = p.accel_max
         else:
             target_speed = wp_seg.vl + profile.speed_frac * (wp_seg.vh - wp_seg.vl)
@@ -235,14 +242,14 @@ def run_episode(cfg: EpisodeConfig):
             fallback = True
             pending_fallback = False
         else:
-            ctrl_verdict = _gate(wp_decl, v, a_prop, p, cfg.interval_mode)
+            ctrl_verdict = _gate(wp_decl, v, a_prop, p, interval_mode)
             fallback = not ctrl_verdict.passed
             if fallback:
                 ctrl_failures += 1
 
         inforce_world, inforce_k = target.target_world, k_decl
         inforce_vl, inforce_vh = wp_seg.vl, wp_seg.vh
-        if fallback and cfg.monitoring:
+        if fallback and monitoring:
             fallback_engagements += 1
             a_cmd = fallback_accel(v, p)
             k_cmd = k_decl  # ride the residual-zeroing arc while braking
@@ -255,8 +262,8 @@ def run_episode(cfg: EpisodeConfig):
         # is the in-force target in the body frame at cycle start). Speed is
         # monotone within a cycle, so its extremes in the goal region sit at
         # those two points.
-        dt = T * (1.0 - cfg.disturbance.cycle_jitter * rng.random())
-        k_act, a_act = actuated(k_cmd, a_cmd, cfg.disturbance)
+        dt = T * (1.0 - disturbance.cycle_jitter * rng.random())
+        k_act, a_act = actuated(k_cmd, a_cmd, disturbance)
         new_pose, vv, s = arc_step(pose, v, k_act, a_act, dt)
         distance += s
         cycle_violation = cycle_below_vl = False
@@ -269,14 +276,14 @@ def run_episode(cfg: EpisodeConfig):
         elapsed_total += dt
 
         # Plant monitor against the in-force target; next_target reuses rel2.
-        rel2 = to_relative(new_pose, inforce_world)
-        if not (math.isfinite(rel2[0]) and math.isfinite(rel2[1])):
+        x2, y2 = rel2 = to_relative(new_pose, inforce_world)
+        if not (math.isfinite(x2) and math.isfinite(y2)):
             raise ValueError(f"cycle {cycles}: vehicle state overflowed; a parameter is too large")
-        wp2 = RelWaypoint(*rel2, inforce_k, inforce_vl, inforce_vh)
+        wp2 = RelWaypoint(x2, y2, inforce_k, inforce_vl, inforce_vh)
         plant_verdict = plant_monitor(wp2, vv, dt, p)
         if not plant_verdict.passed:
             plant_failures += 1
-            if cfg.monitoring:
+            if monitoring:
                 pending_fallback = True
 
         if cycle_violation:
@@ -284,7 +291,7 @@ def run_episode(cfg: EpisodeConfig):
         if cycle_below_vl:
             below_vl_at_goal += 1
 
-        if cfg.collect_log:
+        if collect_log:
             rows.append(LogRow(
                 cycle=cycles, t=elapsed_total - dt, x=pose.x, y=pose.y,
                 psi=pose.heading, v=v, a_cmd=a_prop, a_acted=a_cmd,

@@ -264,6 +264,6 @@ def interval_eval_controller(x: Ivl, y: Ivl, k: Ivl, vl: Ivl, vh: Ivl,
         verdict = controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, _point_params(p))
     except (Undecided, ZeroDivideInterval, NaNInterval):
         return IntervalVerdict.UNKNOWN
-    if verdict:
+    if verdict.passed:
         return IntervalVerdict.DEFINITELY_TRUE
     return IntervalVerdict.DEFINITELY_FALSE

@@ -185,7 +185,7 @@ def invariant_j(wp: RelWaypoint, v: float, p: Params,
 def controller_monitor(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
     """Gate for an untrusted control proposal: feasibility and admissibility."""
     verdict = feas(wp, p)
-    if not verdict:
+    if not verdict.passed:
         return verdict
     return go(wp, v, a, p)
 
@@ -193,7 +193,7 @@ def controller_monitor(wp: RelWaypoint, v: float, a: float, p: Params) -> Monito
 def plant_monitor(wp: RelWaypoint, v: float, elapsed: float, p: Params) -> MonitorVerdict:
     """Check that sensed physics stayed inside the modeled dynamics for one cycle."""
     verdict = invariant_j(wp, v, p)
-    if not verdict:
+    if not verdict.passed:
         return verdict
     if not 0.0 <= elapsed <= p.cycle_max:
         return _fail(Clause.CYCLE_TIME)

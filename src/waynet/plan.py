@@ -378,7 +378,7 @@ def target_for_edge(graph: PlanGraph, edge_index: int, pose: WorldPose,
     rel = to_relative(pose, target)
     if rel[0] <= 0.0:
         # The remainder is ahead between the fractions enter and leave.
-        c, s = math.cos(pose.heading), math.sin(pose.heading)
+        c, s = pose.cos, pose.sin
         if geom is None:  # x is linear in the fraction
             dx = c * (seg.b.x - seg.a.x) + s * (seg.b.y - seg.a.y)
             zero = frac - rel[0] / dx if dx != 0.0 else -math.inf

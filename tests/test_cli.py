@@ -1,6 +1,13 @@
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from waynet import cli
 from waynet.cli import main
+from waynet.plan import gen_environment, serialize
 
 
 def run(capsys, *argv):
@@ -317,3 +324,66 @@ def test_verify_rejects_count_below_1(capsys, check, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--n" in captured.err
+
+
+def test_main_calls_in_one_process_match_separate_processes(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; a usage error must not leave
+    # state that a later call sees. Each call is also run in a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")  # the same usage line width in both
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    plan = tmp_path / "turns.plan"
+    plan.write_text(serialize(gen_environment("turns")))
+    calls = [["simulate", "--no-such-flag"],
+             ["simulate", "--env", "rect", "--episodes", "1", "--max-cycles", "60",
+              "--disturbance", "0.1,0.002,0.1,0.1"],
+             ["verify", "oracle", "--n", "20"],
+             ["check-plan", str(plan)]]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "waynet.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == \
+            (alone.returncode, alone.stdout, alone.stderr), argv
+        assert code == (2 if argv == calls[0] else 0), argv
+
+
+# sha256 of every file `simulate --out` writes for this grid, recorded at commit
+# ba3f379. A change that alters any trajectory re-derives these digests from
+# its own output and says why; it does not tune them.
+_GRID_ARGV = ["simulate", "--env", "all", "--controller", "pd1,liveness,bangbang",
+              "--episodes", "2", "--disturbance", "0.1,0.002,0.1,0.1", "--seed", "1"]
+_GRID_DIGESTS = {
+    "ep_clover_bangbang_0000.csv": "468342fbb3051a94feb498c2fdf4988d10152618eaead17dba8f3c6e1ab1a965",
+    "ep_clover_bangbang_0001.csv": "ad6b5a98daf3f75abbeaacb79892af329c54b225d80e53bf5ac87f3ae8450604",
+    "ep_clover_liveness_0000.csv": "6e6208b077720b0cf3b6159e99268366393e2213795f4ed0fbc0e9c9b60fc5ac",
+    "ep_clover_liveness_0001.csv": "9e6d03cdef83a571689c84b1b0e4cc8559d0b604ea4dab19463f6928417cf66a",
+    "ep_clover_pd1_0000.csv": "ba774262c25dd6b7138d1053dad42a75b12133ff50477f0958219c9b2107e280",
+    "ep_clover_pd1_0001.csv": "d6aed6a84720fb71a802cfca63e7d1afe323a8844092c01ce9c9509d9a8615ed",
+    "ep_rect_bangbang_0000.csv": "7a221e51e088567e02563c4d9e28c3130bd867d21fddbbff4b81eb9c021ae068",
+    "ep_rect_bangbang_0001.csv": "bad664dacad85ab37b2ad5d483f0d7581e1d63be3afa7b7e341a055c78534cfe",
+    "ep_rect_liveness_0000.csv": "a6bb32345024d5367973ae441dd1b187dfcea048ea7be0d93ef119b08fe09087",
+    "ep_rect_liveness_0001.csv": "f3a9a27863746cabd0e290f816321e9fea7a64671dd839d0006a3a1a10f41c72",
+    "ep_rect_pd1_0000.csv": "f796be1ab176e6c5dd8a980c0f6e7a03815cd460928cfbc3fedb7dab4e2b9004",
+    "ep_rect_pd1_0001.csv": "23edc490f6939dee34873746b41473e62cf48b603bf0f9d37c4b451983b12073",
+    "ep_turns_bangbang_0000.csv": "2bee50c38f780636b02a8b4be5439d61a3db7900d89994bb23635b39978148df",
+    "ep_turns_bangbang_0001.csv": "62e659abd6ad7486dca662490d4bd117122eec01267a5835add72dd7982e8da9",
+    "ep_turns_liveness_0000.csv": "1c2a64b4b28a96ad094f2427257364d31f85b9954c54fd044334a923f372fe87",
+    "ep_turns_liveness_0001.csv": "92b6c3828654fc8c6f25ac8105ee13ee7c3b1609a77dcc53d45f2b96b4059b39",
+    "ep_turns_pd1_0000.csv": "891da3e5a7bce94b068f9e1c2501ba8afdc8c8ae4785ca4c2cf3659a0cd285a9",
+    "ep_turns_pd1_0001.csv": "183adc92bef14bbe8da1cf8b388e7c59a1b5f7f1d8af9224fee34f59a07e2933",
+    "summary.csv": "5a07dfe1af37a16a97793f9cf0547965bf60981f9429c42087fdb96e11687478",
+    "summary.txt": "b287d58a32a0dc08cfe4a1646038eb9f032254b064e93e8598e2dcdc3d0eeba4",
+}
+
+
+def test_simulate_outputs_are_byte_identical_to_recorded_digests(tmp_path, capsys):
+    code, out, _ = run(capsys, *_GRID_ARGV, "--out", str(tmp_path))
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == _GRID_DIGESTS
+    assert hashlib.sha256(out.encode()).hexdigest() == _GRID_DIGESTS["summary.txt"]

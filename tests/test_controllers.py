@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from waynet.controllers import (PdGains, bang_bang, choose_accel, declared_curvature,
+from waynet.controllers import (bang_bang, choose_accel, declared_curvature,
                                 liveness_accel, pd)
 from waynet.core import Params, RelWaypoint
 from waynet.monitor import ann_residual, fallback_accel, go
@@ -53,26 +53,15 @@ class TestBangBang:
 class TestPd:
     def test_reference_step(self):
         # e = -y = 0.2, prev 0.1, dt 0.1: cmd = -(0.5*0.2 + 0.05*1.0) = -0.15
-        g = PdGains(kp=0.5, kd=0.05, curvature_max=1.0)
         x, y = 5.0, -0.2 - 0.0
         e = ann_residual(x, y, 0.0, eps=1.0)
         assert e == pytest.approx(0.2)
-        assert pd(x, y, prev_e=0.1, dt=0.1, k_seg=0.0, eps=1.0, g=g) == \
+        assert pd(e, prev_e=0.1, dt=0.1, k_seg=0.0, kp=0.5, kd=0.05, k_max=1.0) == \
             pytest.approx(-0.15)
 
     def test_clamped(self):
-        g = PdGains(kp=10.0, kd=0.0, curvature_max=0.4)
-        assert pd(5.0, -2.0, 0.0, 0.1, 0.0, 1.0, g) == -0.4
-        assert pd(5.0, 2.0, 0.0, 0.1, 0.0, 1.0, g) == 0.4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PdGains(kp=-0.1, kd=0.0, curvature_max=1.0)
-        with pytest.raises(ValueError):
-            PdGains(kp=0.1, kd=0.0, curvature_max=0.0)
-        g = PdGains(0.5, 0.05, 1.0)
-        with pytest.raises(ValueError):
-            pd(5.0, 0.0, 0.0, 0.0, 0.0, 1.0, g)
+        assert pd(2.0, 0.0, 0.1, 0.0, 10.0, 0.0, 0.4) == -0.4
+        assert pd(-2.0, 0.0, 0.1, 0.0, 10.0, 0.0, 0.4) == 0.4
 
 
 class TestChooseAccel:

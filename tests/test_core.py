@@ -69,6 +69,23 @@ def test_world_pose_normalizes_heading():
     assert WorldPose(0.0, 0.0, 3.0 * math.pi).heading == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("heading", [0.0, -0.0, math.pi, -math.pi, 7.0 * math.pi,
+                                     -7.0 * math.pi, 1e6])
+def test_world_pose_trig_is_that_of_its_normalized_heading(heading):
+    pose = WorldPose(1.0, -2.0, heading)
+    assert pose.heading.hex() == normalize_angle(heading).hex()
+    assert pose.cos.hex() == math.cos(pose.heading).hex()
+    assert pose.sin.hex() == math.sin(pose.heading).hex()
+
+
+def test_world_pose_trig_takes_no_part_in_eq_or_repr():
+    # The stuck rule compares poses, and a log row reads x, y and heading only.
+    pose, twin = WorldPose(1.0, -2.0, 0.5), WorldPose(1.0, -2.0, 0.5)
+    twin.cos, twin.sin = 2.0, 3.0
+    assert pose == twin
+    assert repr(twin) == repr(pose) == "WorldPose(x=1.0, y=-2.0, heading=0.5)"
+
+
 def test_arc_step_pose_normalizes_heading_after_many_turns():
     # 100 full turns plus 0.5 rad on a unit circle at 1 m/s.
     pose, _, s = arc_step(WorldPose(0.0, 0.0, 0.0), 1.0, 1.0, 0.0, 200.0 * math.pi + 0.5)

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 from waynet.dynamics import Disturbance
-from waynet.harness import (CONTROLLERS, EpisodeConfig, EpisodeReport, LOG_HEADER,
-                            format_log, run_episode, summarize)
+from waynet.harness import (CONTROLLERS, ControllerProfile, EpisodeConfig, EpisodeReport,
+                            LOG_HEADER, format_log, run_episode, summarize)
 from waynet.plan import gen_environment
 
 RECT = gen_environment("rect")
@@ -31,6 +33,13 @@ def test_config_validation():
         EpisodeConfig(environment="rect")  # the plan is required
     with pytest.raises(ValueError):
         EpisodeConfig(RECT, branch="coinflip")
+
+
+@pytest.mark.parametrize("gains", [dict(kp=-0.1), dict(kd=-0.1), dict(kp=math.nan),
+                                   dict(k_max=0.0), dict(k_max=-1.0), dict(k_max=math.nan)])
+def test_profile_rejects_negative_gains_and_non_positive_k_max(gains):
+    with pytest.raises(ValueError):
+        ControllerProfile("pd", speed_frac=0.5, **gains)
 
 
 def test_report_validation():

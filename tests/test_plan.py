@@ -1,14 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import waynet.plan
 from waynet.core import Params, WorldPose
 from waynet.dynamics import to_relative
-from waynet.plan import (ActiveTarget, CO_CIRCULAR_RTOL, DEFAULT_SCALES, DeadEnd,
-                         ENVIRONMENTS, PlanError, arc_geometry, arc_heading, arc_point,
-                         curvature_through, deterministic_first, gen_environment, initial_state,
-                         next_target, parse_plan, seeded_random, serialize,
+from waynet.plan import (ActiveTarget, CO_CIRCULAR_RTOL, DEFAULT_SCALES, DeadEnd, Edge,
+                         ENVIRONMENTS, Node, PlanError, PlanGraph, arc_geometry, arc_heading,
+                         arc_point, curvature_through, deterministic_first, gen_environment,
+                         initial_state, next_target, parse_plan, seeded_random, serialize,
                          target_for_edge)
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
@@ -75,6 +76,49 @@ class TestParse:
     def test_negative_lower_limit(self):
         with pytest.raises(PlanError, match="negative lower speed"):
             parse_plan("node a 0 0 -1 2\nstart a\n")
+
+
+_COORD = st.floats(min_value=-1e4, max_value=1e4)
+_SPEED = st.floats(min_value=0.0, max_value=50.0)
+
+
+@st.composite
+def _valid_plans(draw):
+    """A chain or a loop of 2-16 nodes with finite coordinates and limits
+    0 <= vl < vh, of line edges and minor arcs whose curvature fits their
+    chord (at least a 20th of the largest that fits, so floats hold the circle)."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    loop = draw(st.booleans())
+    x, y = draw(_COORD), draw(_COORD)
+    nodes = {}
+    for i in range(n):
+        if i > 0:  # consecutive nodes at least 0.5 m apart
+            step = draw(st.floats(min_value=0.5, max_value=100.0))
+            angle = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+            x, y = x + step * math.cos(angle), y + step * math.sin(angle)
+        vl = draw(_SPEED)
+        vh = vl + draw(st.floats(min_value=0.01, max_value=50.0))
+        nodes[f"n{i}"] = Node(f"n{i}", x, y, vl, vh)
+    ids = list(nodes)
+    pairs = list(zip(ids, ids[1:])) + ([(ids[-1], ids[0])] if loop else [])
+    edges = []
+    for frm, to in pairs:
+        a, b = nodes[frm], nodes[to]
+        chord = math.hypot(b.x - a.x, b.y - a.y)
+        if chord > 0.0 and draw(st.booleans()):
+            fit = draw(st.floats(min_value=0.05, max_value=1.0))
+            edges.append(Edge(frm, to, "arc", draw(st.sampled_from([1.0, -1.0]))
+                              * fit * 2.0 / chord))
+        else:
+            edges.append(Edge(frm, to, "line"))
+    terminals = draw(st.frozensets(st.sampled_from(ids)))
+    return PlanGraph(nodes=nodes, edges=tuple(edges), start=ids[0], terminals=terminals)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_valid_plans())
+def test_serialize_parse_round_trip(graph):
+    assert parse_plan(serialize(graph)) == graph
 
 
 class TestCurvatureThrough:
