@@ -5,8 +5,8 @@
 Exports PARENT_REF with ``git archive`` into a temporary directory. For every
 workload of BENCHMARK.json it runs ``perfbench/run.py --trace 0`` on the
 parent and on the working tree in 10 alternating pairs, the parent first in
-even-numbered pairs, and then one ``--trace 1`` run on each side for the
-per-layer metrics. Every run lasts BENCHMARK.json's ``run_seconds`` at seed 1,
+even-numbered pairs, and then 3 alternating pairs of ``--trace 1`` runs for
+the per-layer metrics. Every run lasts BENCHMARK.json's ``run_seconds`` at seed 1,
 so every BENCH file comes from the same settings. Each side runs its own
 ``perfbench/``, so the comparison holds only while that directory is the same
 in both.
@@ -23,8 +23,10 @@ won, and a verdict:
   every change run is better than every parent run;
 - ``unchanged``: none of these.
 
-It also records both sides' per-layer metrics, whether every run of both
-sides gave the same fingerprint, and the failed-operation counts.
+It also records each per-layer metric's traced runs and their median per
+side (one traced run per side is too few: CPU drift outweighs a 5-10% change
+in a layer), whether every run of both sides gave the same fingerprint, and
+the failed-operation counts.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
+TRACED_PAIRS = 3
 SEED = 1
 
 
@@ -76,6 +79,32 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
             "change": {"median": cm, "q1": c1, "q3": c3, "runs": change}}
 
 
+def order(i: int) -> tuple[str, str]:
+    """The sides of pair i in the order they run: the parent first in even pairs."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def paired_runs(run, pairs: int) -> dict[str, list]:
+    """run(side) for both sides of each of `pairs` alternating pairs."""
+    runs: dict[str, list] = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in order(i):
+            runs[side].append(run(side))
+    return runs
+
+
+def per_layer(traced: dict[str, list[dict]], names: list[str]) -> dict:
+    """Each per-layer metric's traced runs and their median, per side; a
+    metric some traced run does not report is left out."""
+    values = {name: {side: [r["metrics"][name]["value"] for r in runs]
+                     for side, runs in traced.items()}
+              for name in names
+              if all(name in r["metrics"] for runs in traced.values() for r in runs)}
+    return {name: {side: {"median": statistics.median(v), "runs": v}
+                   for side, v in sides.items()}
+            for name, sides in values.items()}
+
+
 def perfbench(tree: Path, workload: str, seconds: float, trace: int) -> dict:
     """One perfbench run in tree: its result line with the detail line merged in."""
     proc = subprocess.run(
@@ -99,29 +128,25 @@ def export(ref: str, into: Path) -> str:
 
 def bench_workload(trees: dict[str, Path], workload: str, spec: dict) -> dict:
     seconds = spec["run_seconds"]
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(PAIRS):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(perfbench(trees[side], workload, seconds, 0))
-            print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
-                  f"{runs[side][-1]['metrics']['throughput_per_s']['value']:.1f}/s",
-                  file=sys.stderr)
-    traced = {side: perfbench(trees[side], workload, seconds, 1)
-              for side in ("parent", "change")}
-    every_run = runs["parent"] + runs["change"] + list(traced.values())
+
+    def untraced(side):
+        result = perfbench(trees[side], workload, seconds, 0)
+        print(f"{workload} {side}: {result['metrics']['throughput_per_s']['value']:.1f}/s",
+              file=sys.stderr)
+        return result
+
+    runs = paired_runs(untraced, PAIRS)
+    traced = paired_runs(lambda side: perfbench(trees[side], workload, seconds, 1),
+                         TRACED_PAIRS)
+    every_run = [r for side in (runs, traced) for rs in side.values() for r in rs]
     end_to_end = {
         m["name"]: compare([r["metrics"][m["name"]]["value"] for r in runs["parent"]],
                            [r["metrics"][m["name"]]["value"] for r in runs["change"]],
                            m["better"], m["bound"])
         for m in spec["end_to_end"]}
-    per_layer = {
-        m["name"]: {side: traced[side]["metrics"][m["name"]]["value"] for side in traced}
-        for m in spec["per_layer"]
-        if all(m["name"] in traced[side]["metrics"] for side in traced)}
     return {
         "end_to_end": end_to_end,
-        "per_layer": per_layer,
+        "per_layer": per_layer(traced, [m["name"] for m in spec["per_layer"]]),
         "fingerprints_equal": all(r["detail"]["fingerprint"] == every_run[0]["detail"]["fingerprint"]
                                   for r in every_run),
         "fingerprint": every_run[0]["detail"]["fingerprint"],
@@ -148,8 +173,10 @@ def main(argv=None) -> int:
     report = {
         "parent": {"ref": args.parent_ref, "sha": parent_sha},
         "change": {"head": head, "uncommitted_changes": dirty},
-        "settings": {"pairs": PAIRS, "seconds": spec["run_seconds"], "seed": SEED,
-                     "trace": "end-to-end untraced; per-layer from one traced run per side"},
+        "settings": {"pairs": PAIRS, "traced_pairs": TRACED_PAIRS,
+                     "seconds": spec["run_seconds"], "seed": SEED,
+                     "trace": "end-to-end untraced; per-layer from alternating traced pairs, "
+                              "median per side"},
         "environment": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "workloads": results,
     }

@@ -68,9 +68,8 @@ def choose_accel(wp: RelWaypoint, v: float, p: Params, target_speed: float) -> f
 
 def liveness_accel(v: float, vl: float, vh: float, A: float, B: float) -> float:
     """Reference speed law: speed up below the limits, cruise inside them,
-    brake above them."""
-    if not 0.0 <= vl < vh:
-        raise ValueError(f"need 0 <= vl < vh, got vl={vl!r}, vh={vh!r}")
+    brake above them. It assumes 0 <= vl < vh, which ``PlanGraph.validate``
+    requires of every node."""
     if v < vl:
         return A
     if v <= vh:
@@ -82,9 +81,8 @@ def declared_curvature(x: float, y: float, k_seg: float, eps: float) -> float:
     """Curvature declared to the monitor for the body-frame target (x, y): the
     one that zeroes the annulus residual when admissible, otherwise the
     segment's own curvature."""
-    d2 = x * x + y * y
-    if d2 > eps * eps:
+    try:
         k_star = curvature_through(x, y, eps)
-        if abs(k_star) * eps <= 1.0:
-            return k_star
-    return k_seg
+    except ValueError:  # (x, y) is inside the goal region
+        return k_seg
+    return k_star if abs(k_star) * eps <= 1.0 else k_seg

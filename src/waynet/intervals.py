@@ -16,6 +16,10 @@ may not be a float), steps one float outward with ``math.nextafter``; a
 round-to-nearest result is never more than that step from the exact one. An
 exact float result stays a point, so cruising at ``v = vl`` with ``a = 0``
 keeps ``v + a*T`` the point ``v`` and its limit comparison decided.
+Point operands (``lo == hi``, as the harness passes) take one transform for
+``+``, ``-``, ``*`` and squares, which rounds both endpoints; the sign cases
+of the box path would run that same transform once per endpoint. A zero
+endpoint's sign may differ between the two paths, which no comparison sees.
 
 No endpoint is ever NaN: ``Ivl`` rejects one, and an operation whose endpoint
 would be NaN (``inf - inf``, ``0 * inf``, ``inf / inf``) raises
@@ -110,6 +114,12 @@ def _ivl(lo: float, hi: float) -> Ivl:
 
 def _add(a: float, b: float, c: float, d: float) -> Ivl:
     """[a, b] + [c, d]."""
+    if a == b and c == d:
+        r = object.__new__(Ivl)
+        r.lo, r.hi = _sum(a, c)
+        if not r.lo <= r.hi:
+            raise NaNInterval(f"NaN endpoint: {a} + {c}")
+        return r
     return _ivl(_sum(a, c)[0], _sum(b, d)[1])
 
 
@@ -122,6 +132,9 @@ class Ivl:
 
     def __init__(self, lo, hi=None):
         if hi is None:
+            if type(lo) is float and lo == lo:  # a float point needs no rounding
+                self.lo = self.hi = lo
+                return
             hi = lo
         flo, fhi = float(lo), float(hi)
         if flo > lo:
@@ -139,11 +152,11 @@ class Ivl:
         return f"Ivl({self.lo!r}, {self.hi!r})"
 
     def __add__(self, other):
-        c, d = _bounds(other)
+        c, d = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
         return _add(self.lo, self.hi, c, d)
 
     def __sub__(self, other):
-        c, d = _bounds(other)
+        c, d = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
         return _add(self.lo, self.hi, -d, -c)
 
     def __neg__(self):
@@ -153,7 +166,13 @@ class Ivl:
         if other is self:
             return self.square()
         a, b = self.lo, self.hi
-        c, d = _bounds(other)
+        c, d = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        if a == b and c == d:
+            r = object.__new__(Ivl)
+            r.lo, r.hi = _prod(a, c)
+            if not r.lo <= r.hi:
+                raise NaNInterval(f"NaN endpoint: {a} * {c}")
+            return r
         # Only the endpoint products that bound the result, by sign case, so
         # 0 * inf is computed only where it would be an endpoint.
         if a >= 0.0:
@@ -193,6 +212,10 @@ class Ivl:
 
     def square(self):
         a, b = self.lo, self.hi
+        if a == b:
+            r = object.__new__(Ivl)
+            r.lo, r.hi = _prod(a, a)
+            return r
         if a >= 0.0:
             return _ivl(_prod(a, a)[0], _prod(b, b)[1])
         if b <= 0.0:
@@ -207,28 +230,36 @@ class Ivl:
         return _ivl(0.0, max(-self.lo, self.hi))
 
     def __lt__(self, other):
-        lo, hi = _bounds(other)
-        return _decide(self.hi < lo, self.lo >= hi)
+        lo, hi = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        if self.hi < lo:
+            return True
+        if self.lo >= hi:
+            return False
+        raise Undecided
 
     def __le__(self, other):
-        lo, hi = _bounds(other)
-        return _decide(self.hi <= lo, self.lo > hi)
+        lo, hi = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        if self.hi <= lo:
+            return True
+        if self.lo > hi:
+            return False
+        raise Undecided
 
     def __gt__(self, other):
-        lo, hi = _bounds(other)
-        return _decide(self.lo > hi, self.hi <= lo)
+        lo, hi = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        if self.lo > hi:
+            return True
+        if self.hi <= lo:
+            return False
+        raise Undecided
 
     def __ge__(self, other):
-        lo, hi = _bounds(other)
-        return _decide(self.lo >= hi, self.hi < lo)
-
-
-def _decide(always: bool, never: bool) -> bool:
-    if always:
-        return True
-    if never:
-        return False
-    raise Undecided
+        lo, hi = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        if self.lo >= hi:
+            return True
+        if self.hi < lo:
+            return False
+        raise Undecided
 
 
 def _bounds(x) -> tuple[float, float]:

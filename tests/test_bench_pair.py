@@ -29,3 +29,20 @@ def test_compare_unresolved_when_parent_spread_exceeds_bound():
     assert bench_pair.compare(parent, [100.0] * 10, "higher", 0.2)["verdict"] == "unresolved"
     # Every change run better than every parent run resolves it.
     assert bench_pair.compare(parent, [160.0] * 10, "higher", 0.2)["verdict"] != "unresolved"
+
+
+def test_paired_runs_alternate_which_side_runs_first():
+    calls = []
+    runs = bench_pair.paired_runs(lambda side: calls.append(side) or len(calls), 3)
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    assert runs == {"parent": [1, 4, 5], "change": [2, 3, 6]}
+
+
+def test_per_layer_records_every_traced_run_and_its_median():
+    def run(**values):
+        return {"metrics": {name: {"value": v} for name, v in values.items()}}
+    traced = {"parent": [run(a=3.0, b=1.0), run(a=1.0, b=1.0), run(a=2.0)],
+              "change": [run(a=5.0, b=1.0), run(a=4.0, b=1.0), run(a=9.0, b=1.0)]}
+    layers = bench_pair.per_layer(traced, ["a", "b"])
+    assert layers == {"a": {"parent": {"median": 2.0, "runs": [3.0, 1.0, 2.0]},
+                            "change": {"median": 5.0, "runs": [5.0, 4.0, 9.0]}}}

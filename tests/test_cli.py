@@ -380,10 +380,60 @@ _GRID_DIGESTS = {
 }
 
 
-def test_simulate_outputs_are_byte_identical_to_recorded_digests(tmp_path, capsys):
-    code, out, _ = run(capsys, *_GRID_ARGV, "--out", str(tmp_path))
-    assert code == 0
+# The same check for an --interval-mode run under a heavier disturbance,
+# recorded at commit ff89311. It exits 1 because its adversarial cells record
+# safety violations. No run of this grid logs interval_undecided, so it pins
+# trajectories, not certification.
+_INTERVAL_GRID_ARGV = ["simulate", "--env", "all", "--controller",
+                       "pd1,liveness,bangbang,adversarial", "--episodes", "2",
+                       "--disturbance", "0.2,0.01,0.2,0.3", "--seed", "3", "--interval-mode"]
+_INTERVAL_GRID_DIGESTS = {
+    "ep_clover_adversarial_0000.csv": "4b439817ef0aad068f2804876aa840321b852e7a3fe741b87c87aee1bcb5c88d",
+    "ep_clover_adversarial_0001.csv": "a0a2cab0f59c86068b352d1338de1240dfe4992bbd88c74a25745430d793debd",
+    "ep_clover_bangbang_0000.csv": "38fbd356553f6afbe63b083cd02706e3dcc053d4d5ecc98e5b0e20b7e3cd4263",
+    "ep_clover_bangbang_0001.csv": "57a726f78e62e18cb22c16c6d3b38d952fd0e4f8d0bd112ad0e1aa611a28846a",
+    "ep_clover_liveness_0000.csv": "9ba793837010fcafc534db8e16d6670d15d2fed3c2782237774335809222aa5c",
+    "ep_clover_liveness_0001.csv": "4112cfd375530b0c9fb3e88414d47d415dc0953a376d10d8a37450d7bd4b7da5",
+    "ep_clover_pd1_0000.csv": "777589f35e34f273bac78f747a9fdff87b74102059e6eeee6d7d848f71d30500",
+    "ep_clover_pd1_0001.csv": "890ded7150a7cd4ff7ed3acaf42d3a07fdd1d8ddc03bf9235cef4cc624bb95e0",
+    "ep_rect_adversarial_0000.csv": "aa5ca604af15065faed2bd9dfa0ef3618f76fce045295b89cfb21c1930f35ff9",
+    "ep_rect_adversarial_0001.csv": "0dc1449ee8da49f8b00d1f4d7f13e04ac6a13cf5d1c3ad207f3b3ef37a374298",
+    "ep_rect_bangbang_0000.csv": "cdfdca0724a453fb7dc5a915e3e804840055afce399d2689652a166ad59b8c66",
+    "ep_rect_bangbang_0001.csv": "7c90fa99a77d4edd3c88fb5432bf78f2ba4c06809e43c7e7d3278a04970da8ce",
+    "ep_rect_liveness_0000.csv": "7d2a944c02ac5189eae0d21d73fe5478034bdcd36acba81871cedc7f54aab74b",
+    "ep_rect_liveness_0001.csv": "a2e7b7e9985c4a08571c74cdb2d3972e08175171da0f056ae6822e0f513b6b88",
+    "ep_rect_pd1_0000.csv": "4547e85efe52841ec998587de4beb2fe1e279ec6a077e33d1de603378d7339f0",
+    "ep_rect_pd1_0001.csv": "f3c8b88a3135b530c91e19150da3dc12adad91b527e638b66e12ae5e51da17ee",
+    "ep_turns_adversarial_0000.csv": "a34e6267e0a58667e3bc2843569062df44bc68dc98be7ed3e3cce4add5dbe2a0",
+    "ep_turns_adversarial_0001.csv": "1e7c86cad05c208a3518d1cf459cc6c949f11c518bd6222cfd3868be47e93a5b",
+    "ep_turns_bangbang_0000.csv": "35a8cb364d9b6935e88618ab29494a67e941961c31115b5b2e5736eb5e6c6758",
+    "ep_turns_bangbang_0001.csv": "487f62dd6ffb86080e0b73db3f7158c2c2272ff88c65893a5e5ded9c2de114dc",
+    "ep_turns_liveness_0000.csv": "e9169c9f51cfa9ffdc9c98eac55ccba5ed7e8c3629df14ffae4c8dbd10647a22",
+    "ep_turns_liveness_0001.csv": "63fb3c1e3d0c50740a6e58261dfb91009d7ebd206d5ba79f1b017b717c056bf7",
+    "ep_turns_pd1_0000.csv": "9ec90ca38777e30f109a3d6c47700be4019a4afa5699faf8b114d6a7a1216665",
+    "ep_turns_pd1_0001.csv": "17a47e586bfca2c2efc9539291da281112661a53a4233f088103209c14c7a109",
+    "summary.csv": "6117fedd2e1f3dbf58fc641d869bc9791d89453bd44f8a6c2fe2536a06510048",
+    "summary.txt": "79d290d540f1c7cd8ff9981ac8d6c2244c03332f3d98ecdac62b37d3793d3a69",
+}
+
+
+def _run_digests(tmp_path, capsys, argv):
+    """Exit code, sha256 of every file written to --out, and of stdout."""
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path))
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
+    return code, digests, hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_simulate_outputs_are_byte_identical_to_recorded_digests(tmp_path, capsys):
+    code, digests, out = _run_digests(tmp_path, capsys, _GRID_ARGV)
+    assert code == 0
     assert digests == _GRID_DIGESTS
-    assert hashlib.sha256(out.encode()).hexdigest() == _GRID_DIGESTS["summary.txt"]
+    assert out == _GRID_DIGESTS["summary.txt"]
+
+
+def test_interval_mode_outputs_are_byte_identical_to_recorded_digests(tmp_path, capsys):
+    code, digests, out = _run_digests(tmp_path, capsys, _INTERVAL_GRID_ARGV)
+    assert code == 1
+    assert digests == _INTERVAL_GRID_DIGESTS
+    assert out == _INTERVAL_GRID_DIGESTS["summary.txt"]

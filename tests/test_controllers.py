@@ -106,12 +106,6 @@ class TestLivenessAccel:
         assert liveness_accel(1.0, 1.0, 2.0, 1.0, 1.0) == 0.0
         assert liveness_accel(2.0, 1.0, 2.0, 1.0, 1.0) == 0.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            liveness_accel(1.0, 2.0, 2.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            liveness_accel(1.0, -0.1, 2.0, 1.0, 1.0)
-
 
 class TestDeclaredCurvature:
     def test_zeroes_residual_when_admissible(self):

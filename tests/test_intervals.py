@@ -134,6 +134,30 @@ def test_square_and_abs_enclose_the_exact_result_over_all_finite_floats(x):
     _assert_square_and_abs_enclose(x)
 
 
+# On the safe range TwoSum and TwoProduct are exact, so an operation on points
+# gives the tightest float enclosure: the exact result rounded down and up,
+# one point exactly when that result is a float. Endpoints compare with ==,
+# for which -0.0 == 0.0: the sign of a zero endpoint is not part of the claim.
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_FLOAT, _FLOAT, st.sampled_from(["+", "-", "*", "square"]))
+@example(0.1, 0.2, "+")
+@example(0.1, 0.1, "-")
+@example(0.1, 3.0, "*")
+@example(-0.0, 0.0, "*")
+@example(0.1, 0.0, "square")
+def test_point_operations_are_the_tightest_enclosure(a, c, name):
+    if name == "square":
+        result, exact = Ivl(a).square(), Fraction(a) ** 2
+    else:
+        op = _BINARY[name]
+        result, exact = op(Ivl(a), Ivl(c)), op(Fraction(a), Fraction(c))
+    nearest = float(exact)
+    down = nearest if Fraction(nearest) <= exact else math.nextafter(nearest, -math.inf)
+    up = nearest if Fraction(nearest) >= exact else math.nextafter(nearest, math.inf)
+    assert (result.lo, result.hi) == (down, up), (a, name, c, result)
+    assert (result.lo == result.hi) == _is_float(exact)
+
+
 class TestIvl:
     def test_inexact_sum_steps_each_endpoint_outward_once(self):
         s = Ivl(0.1) + Ivl(0.2)
