@@ -24,9 +24,10 @@ won, and a verdict:
 - ``unchanged``: none of these.
 
 It also records each per-layer metric's traced runs and their median per
-side (one traced run per side is too few: CPU drift outweighs a 5-10% change
-in a layer), whether every run of both sides gave the same fingerprint, and
-the failed-operation counts.
+side, whether every run of both sides gave the same fingerprint, and the
+failed-operation counts. Traced times are not scaled for CPU speed, and a
+single traced run per side let CPU drift outweigh a 5-10% change in a layer;
+read them for shares and call counts.
 """
 
 from __future__ import annotations
@@ -79,16 +80,12 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
             "change": {"median": cm, "q1": c1, "q3": c3, "runs": change}}
 
 
-def order(i: int) -> tuple[str, str]:
-    """The sides of pair i in the order they run: the parent first in even pairs."""
-    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
-
-
 def paired_runs(run, pairs: int) -> dict[str, list]:
-    """run(side) for both sides of each of `pairs` alternating pairs."""
+    """run(side) for both sides of each of `pairs` pairs, the parent first in
+    even-numbered pairs."""
     runs: dict[str, list] = {"parent": [], "change": []}
     for i in range(pairs):
-        for side in order(i):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run(side))
     return runs
 
