@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from waynet.core import Params, RelWaypoint
 from waynet.dynamics import Disturbance, actuated, arc_step, goal_span, to_relative
-from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
-from waynet.monitor import (PASS, Clause, MonitorVerdict, _fail, ann_residual,
+from waynet.intervals import DEFINITELY_TRUE, Ivl, interval_eval_controller
+from waynet.monitor import (FAIL_INTERVAL_UNDECIDED, PASS, MonitorVerdict, ann_residual,
                             controller_monitor, fallback_accel, plant_monitor)
 from waynet.controllers import (bang_bang, choose_accel, declared_curvature,
                                 liveness_accel, pd)
@@ -158,8 +158,8 @@ def _gate(wp: RelWaypoint, v: float, a: float, p: Params,
     if interval_mode and verdict.passed:
         iv = interval_eval_controller(Ivl(wp.x), Ivl(wp.y), Ivl(wp.k),
                                       Ivl(wp.vl), Ivl(wp.vh), Ivl(v), Ivl(a), p)
-        if iv is not IntervalVerdict.DEFINITELY_TRUE:
-            return _fail(Clause.INTERVAL_UNDECIDED)
+        if iv is not DEFINITELY_TRUE:
+            return FAIL_INTERVAL_UNDECIDED
     return verdict
 
 

@@ -56,6 +56,9 @@ class IntervalVerdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
+DEFINITELY_TRUE, DEFINITELY_FALSE, UNKNOWN = IntervalVerdict
+
+
 class ZeroDivideInterval(ArithmeticError):
     """Division by an interval containing zero; the enclosing clause is Unknown."""
 
@@ -294,7 +297,5 @@ def interval_eval_controller(x: Ivl, y: Ivl, k: Ivl, vl: Ivl, vh: Ivl,
     try:
         verdict = controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, _point_params(p))
     except (Undecided, ZeroDivideInterval, NaNInterval):
-        return IntervalVerdict.UNKNOWN
-    if verdict.passed:
-        return IntervalVerdict.DEFINITELY_TRUE
-    return IntervalVerdict.DEFINITELY_FALSE
+        return UNKNOWN
+    return DEFINITELY_TRUE if verdict.passed else DEFINITELY_FALSE

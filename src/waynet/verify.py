@@ -98,19 +98,19 @@ def sample_compliant_state(rng: random.Random, seed: int = 0,
         vh = vl + width
         wp = RelWaypoint(x, y, k, vl, vh)
         v = rng.uniform(0.0, SPEED_MAX)
-        if not (feas(wp, p) and invariant_j(wp, v, p)):
+        if not (feas(wp, p).passed and invariant_j(wp, v, p).passed):
             continue
         a = 0.0
         if require_go:
             for _ in range(32):
                 a = rng.uniform(-p.brake_max, p.accel_max)
-                if v + a * p.cycle_max >= 0.0 and go(wp, v, a, p):
+                if v + a * p.cycle_max >= 0.0 and go(wp, v, a, p).passed:
                     break
             else:
                 continue
         sample = StateSample(wp, v, a, p, seed)
-        assert feas(sample.wp, sample.p) and invariant_j(sample.wp, sample.v, sample.p)
-        assert not require_go or go(sample.wp, sample.v, sample.a, sample.p)
+        assert feas(sample.wp, sample.p).passed and invariant_j(sample.wp, sample.v, sample.p).passed
+        assert not require_go or go(sample.wp, sample.v, sample.a, sample.p).passed
         return sample
 
 
@@ -164,7 +164,7 @@ def check_progress(case: str, n: int = 1_000, seed: int = 0) -> CheckReport:
             if wp.vl <= 0.0:
                 continue
             v = rng.uniform(0.0, wp.vl * 0.999)
-            if not invariant_j(wp, v, p):
+            if not invariant_j(wp, v, p).passed:
                 continue
             a = p.accel_max
             sample = StateSample(wp, v, a, p, i)
@@ -174,7 +174,7 @@ def check_progress(case: str, n: int = 1_000, seed: int = 0) -> CheckReport:
                 return wp.vl - vt
         elif case == "slowdown":
             v = rng.uniform(wp.vh * 1.001, SPEED_MAX + 5.0)
-            if not invariant_j(wp, v, p):
+            if not invariant_j(wp, v, p).passed:
                 continue
             a = -p.brake_max
             sample = StateSample(wp, v, a, p, i)
@@ -248,7 +248,7 @@ def go_oracle(n: int = 10_000, seed: int = 0) -> CheckReport:
             wp = RelWaypoint(x, y, 0.0, vl, vh)
             v = rng.uniform(vh, SPEED_MAX + 5.0)
             a = rng.uniform(0.0, p.accel_max)
-            if v + a * p.cycle_max > vh and go(wp, v, a, p):
+            if v + a * p.cycle_max > vh and go(wp, v, a, p).passed:
                 break
         v_end = v + a * p.cycle_max
         brake_time = (v_end - vh) / p.brake_max

@@ -1,0 +1,148 @@
+"""The monitor formulas in their composed form: the test oracle for the flat
+bodies of ``waynet.monitor``.
+
+Each clause is written as in the model, on the helpers ``ann_clause``,
+``deltaLim`` and ``lim``, with ``go`` testing each speed limit through one
+``_go_branch`` call. The differential tests require the runtime monitors to
+name the same failing clause on every state, and over ``Ivl`` boxes to name
+the same clause or raise the same exception.
+"""
+
+import math
+
+from waynet.core import Params, RelWaypoint, inf_norm
+from waynet.monitor import PASS, Clause, MonitorVerdict, Undecided, ann_residual
+
+_INF = math.inf
+
+
+def _fail(clause: Clause) -> MonitorVerdict:
+    return MonitorVerdict(False, clause)
+
+
+def ann_clause(wp: RelWaypoint, eps: float, slack: float = 0.0) -> Clause:
+    """Annulus membership with failure attribution; Clause.NONE on pass."""
+    if abs(wp.k) * eps > 1.0 + slack:
+        return Clause.ANN_SCALE
+    if not abs(ann_residual(wp.x, wp.y, wp.k, eps)) < eps + slack:
+        return Clause.ANN_BAND
+    return Clause.NONE
+
+
+def feas(wp: RelWaypoint, p: Params) -> MonitorVerdict:
+    """Physical feasibility of the declared (waypoint, curvature, limits)."""
+    c = ann_clause(wp, p.tol)
+    if c is not Clause.NONE:
+        return _fail(c)
+    if not wp.x > 0.0:
+        return _fail(Clause.AHEAD)
+    if not (0.0 <= wp.vl < wp.vh < _INF):
+        return _fail(Clause.LIMITS_ORDER)
+    gap = wp.vh - wp.vl
+    if not p.accel_max * p.cycle_max <= gap:
+        return _fail(Clause.LIMIT_GAP_A)
+    if not p.brake_max * p.cycle_max <= gap:
+        return _fail(Clause.LIMIT_GAP_B)
+    return PASS
+
+
+def delta_lim(v1: float, v2: float, acc: float, k: float, eps: float) -> float:
+    """Distance bound to change speed v1 -> v2 at acceleration magnitude acc,
+    bloated by (1+|k|eps)^2 for the annulus width around a curved path."""
+    if not acc > 0.0:
+        raise ValueError(f"delta_lim requires acc > 0, got {acc!r}")
+    bloat = 1.0 + abs(k) * eps
+    return bloat * bloat * (v1 * v1 - v2 * v2) / (2.0 * acc)
+
+
+def lim(v1: float, v2: float, acc: float, wp: RelWaypoint, eps: float,
+        slack: float = 0.0) -> bool:
+    """True iff acc can close the gap v1 -> v2 before the waypoint arrives."""
+    if v1 <= v2 + slack:
+        return True
+    return delta_lim(v1, v2, acc, wp.k, eps) + eps <= inf_norm(wp.x, wp.y) + slack
+
+
+def _go_branch(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool) -> bool:
+    T = p.cycle_max
+    v_end = v + a * T
+    undecided = False
+    try:
+        if upper:
+            if v <= wp.vh and v_end <= wp.vh:
+                return True
+        elif wp.vl <= v and wp.vl <= v_end:
+            return True
+    except Undecided:
+        undecided = True  # the distance disjunct below may still decide
+    if upper:
+        gap_term = (v_end * v_end - wp.vh * wp.vh) / (2 * p.brake_max)
+    else:
+        gap_term = (wp.vl * wp.vl - v_end * v_end) / (2 * p.accel_max)
+    bloat = 1.0 + abs(wp.k) * p.tol
+    need = bloat * bloat * (v * T + a * T * T / 2.0 + gap_term) + p.tol
+    # need <= max(|x|, |y|) side by side: over boxes, max(|x|, |y|) can be undecided.
+    for side in (wp.x, wp.y):
+        try:
+            if need <= abs(side):
+                return True
+        except Undecided:
+            undecided = True
+    if undecided:
+        raise Undecided
+    return False
+
+
+def go(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
+    """Admissibility of acceleration a: predicts the motion over one cycle and
+    requires either in-limit speeds or enough distance to restore the limits."""
+    if not (-p.brake_max <= a <= p.accel_max):
+        return _fail(Clause.ACCEL_RANGE)
+    if not v + a * p.cycle_max >= 0.0:
+        return _fail(Clause.NON_NEG_SPEED)
+    if not _go_branch(wp, v, a, p, upper=True):
+        return _fail(Clause.UPPER_SPEED)
+    if not _go_branch(wp, v, a, p, upper=False):
+        return _fail(Clause.LOWER_SPEED)
+    return PASS
+
+
+def invariant_j(wp: RelWaypoint, v: float, p: Params,
+                slack: float = 0.0) -> MonitorVerdict:
+    """Loop invariant: annulus membership, well-formed limits, and both speed
+    gaps closable with maximum acceleration / braking in the remaining distance."""
+    c = ann_clause(wp, p.tol, slack)
+    if c is not Clause.NONE:
+        return _fail(c)
+    if not (0.0 - slack <= wp.vl < wp.vh + slack < _INF):
+        return _fail(Clause.LIMITS_ORDER)
+    gap = wp.vh - wp.vl
+    if not p.accel_max * p.cycle_max <= gap + slack:
+        return _fail(Clause.LIMIT_GAP_A)
+    if not p.brake_max * p.cycle_max <= gap + slack:
+        return _fail(Clause.LIMIT_GAP_B)
+    if not lim(wp.vl, v, p.accel_max, wp, p.tol, slack):
+        return _fail(Clause.LOWER_SPEED)
+    if not lim(v, wp.vh, p.brake_max, wp, p.tol, slack):
+        return _fail(Clause.UPPER_SPEED)
+    return PASS
+
+
+def controller_monitor(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
+    """Gate for an untrusted control proposal: feasibility and admissibility."""
+    verdict = feas(wp, p)
+    if not verdict.passed:
+        return verdict
+    return go(wp, v, a, p)
+
+
+def plant_monitor(wp: RelWaypoint, v: float, elapsed: float, p: Params) -> MonitorVerdict:
+    """Check that sensed physics stayed inside the modeled dynamics for one cycle."""
+    verdict = invariant_j(wp, v, p)
+    if not verdict.passed:
+        return verdict
+    if not 0.0 <= elapsed <= p.cycle_max:
+        return _fail(Clause.CYCLE_TIME)
+    if not v >= 0.0:
+        return _fail(Clause.PLANT_DOMAIN)
+    return PASS

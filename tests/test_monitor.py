@@ -3,11 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from waynet import monitor
 from waynet.core import Params, RelWaypoint
-from waynet.monitor import (Clause, MonitorVerdict, _fail, ann_clause, ann_residual,
-                            controller_monitor, delta_lim, fallback_accel, feas,
-                            go, invariant_j, lim, plant_monitor)
+from waynet.monitor import (Clause, MonitorVerdict, ann_residual, controller_monitor,
+                            fallback_accel, feas, go, invariant_j, plant_monitor)
 
+from monitor_ref import ann_clause, delta_lim, lim
 from toy1d import Toy1DState, monitor_1d, simulate_1d
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=1.0)
@@ -19,20 +20,28 @@ def wp(x, y, k, vl=1.0, vh=2.0):
 
 
 class TestAnn:
+    """The annulus clauses: the oracle's ``ann_clause`` and the same first two
+    clauses of ``feas`` and ``invariant_j``."""
+
     def test_straight_ahead(self):
         assert ann_clause(wp(5.0, 0.0, 0.0), eps=1.0) is Clause.NONE
+        assert feas(wp(5.0, 0.0, 0.0), P) and invariant_j(wp(5.0, 0.0, 0.0), 1.5, P)
 
     def test_curved_fig_waypoint(self):
         # residual |-0.4 * 14.25 / 2 + 3| = 0.15 < 1
         assert ann_residual(2.5, -3.0, -0.4, 1.0) == pytest.approx(0.15)
         assert ann_clause(wp(2.5, -3.0, -0.4), eps=1.0) is Clause.NONE
+        assert invariant_j(wp(2.5, -3.0, -0.4), 1.5, P)
 
     def test_straight_declaration_misses_offset_waypoint(self):
         assert ann_residual(2.5, -3.0, 0.0, 1.0) == pytest.approx(3.0)
         assert ann_clause(wp(2.5, -3.0, 0.0), eps=1.0) is Clause.ANN_BAND
+        assert invariant_j(wp(2.5, -3.0, 0.0), 1.5, P).failed_clause is Clause.ANN_BAND
 
     def test_scale_clause(self):
         assert ann_clause(wp(1.0, 0.0, 1.5), eps=1.0) is Clause.ANN_SCALE
+        assert feas(wp(1.0, 0.0, 1.5), P).failed_clause is Clause.ANN_SCALE
+        assert invariant_j(wp(1.0, 0.0, 1.5), 1.5, P).failed_clause is Clause.ANN_SCALE
 
 
 class TestFeas:
@@ -58,6 +67,8 @@ class TestFeas:
 
 
 class TestDeltaLim:
+    """The oracle's distance bound deltaLim, which ``invariant_j`` writes inline."""
+
     def test_straight(self):
         assert delta_lim(3.0, 1.0, 1.0, k=0.0, eps=1.0) == pytest.approx(4.0)
 
@@ -73,6 +84,8 @@ class TestDeltaLim:
 
 
 class TestLim:
+    """The oracle's lim and the lower-speed clause of ``invariant_j`` it stands for."""
+
     def test_first_disjunct(self):
         assert lim(1.0, 5.0, 1.0, wp(0.01, 0.0, 0.0), eps=1.0)
 
@@ -80,6 +93,10 @@ class TestLim:
         # delta_lim = 4, 4 + 0.5 = 4.5 <= 5
         assert lim(3.0, 1.0, 1.0, wp(5.0, 0.0, 0.0), eps=0.5)
         assert not lim(3.0, 1.0, 1.0, wp(4.0, 0.0, 0.0), eps=0.5)
+        # The same gap below vl = 3 at v = 1, with A = 1 and eps = 0.5.
+        assert invariant_j(wp(5.0, 0.0, 0.0, vl=3.0, vh=4.0), 1.0, P_HALF)
+        assert invariant_j(wp(4.0, 0.0, 0.0, vl=3.0, vh=4.0), 1.0, P_HALF).failed_clause \
+            is Clause.LOWER_SPEED
 
 
 class TestGo:
@@ -170,11 +187,10 @@ def test_monitor_verdict_consistency_enforced():
 @pytest.mark.parametrize("clause", [c for c in Clause if c is not Clause.NONE],
                          ids=lambda c: c.value)
 def test_shared_failing_verdict_names_its_clause(clause):
-    verdict = _fail(clause)
+    verdict = getattr(monitor, f"FAIL_{clause.name}")
     assert verdict.passed is False
     assert verdict.failed_clause is clause
     assert not verdict
-    assert _fail(clause) is verdict
 
 
 class TestToy1D:
