@@ -119,13 +119,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _name_list(text: str, choices: tuple[str, ...], kind: str, flag: str) -> list[str]:
-    """'all' or a comma-separated list of ``kind`` names from ``choices``."""
+    """'all' or a comma-separated list of distinct ``kind`` names from ``choices``."""
     if text == "all":
         return list(choices)
     names = [t.strip() for t in text.split(",") if t.strip()]
     for name in names:
         if name not in choices:
             raise ValueError(f"unknown {kind} {name!r} (choose from {choices})")
+        if names.count(name) > 1:
+            raise ValueError(f"{kind} {name!r} repeated in {flag}")
     if not names:
         raise ValueError(f"empty {flag} list")
     return names

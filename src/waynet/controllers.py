@@ -22,9 +22,7 @@ ACCEL_BISECT_TOL = 1e-6
 def bang_bang(x: float, y: float, k_seg: float, eps: float, deadband: float,
               k_max: float) -> float:
     """Hard-left / hard-right steering around the declared segment curvature,
-    toward the body-frame target (x, y)."""
-    if not k_max > 0.0:
-        raise ValueError("k_max must be positive")
+    toward the body-frame target (x, y), with k_max > 0."""
     e = ann_residual(x, y, k_seg, eps)
     if abs(e) <= deadband:
         return k_seg
@@ -45,15 +43,13 @@ def choose_accel(wp: RelWaypoint, v: float, p: Params, target_speed: float) -> f
     """Largest admissible acceleration not exceeding the one that reaches
     target_speed by cycle end; falls back to maximum braking when no candidate
     is admissible. The returned value passes go or equals fallback_accel."""
-    a_hi = min(p.accel_max, (target_speed - v) / p.cycle_max)
     a_lo = -p.brake_max
-    if a_hi < a_lo:
-        a_hi = a_lo
+    a_hi = max(a_lo, min(p.accel_max, (target_speed - v) / p.cycle_max))
     if go(wp, v, a_hi, p).passed:
         return a_hi
     if not go(wp, v, a_lo, p).passed:
         return fallback_accel(v, p)
-    # go holds at a_lo and fails at a_hi: bisect the boundary.
+    # go holds at a_lo and fails at a_hi: bisect the boundary; lo stays passing.
     lo, hi = a_lo, a_hi
     while hi - lo > ACCEL_BISECT_TOL:
         mid = (lo + hi) / 2.0
@@ -61,15 +57,13 @@ def choose_accel(wp: RelWaypoint, v: float, p: Params, target_speed: float) -> f
             lo = mid
         else:
             hi = mid
-    if go(wp, v, lo, p).passed:
-        return lo
-    return fallback_accel(v, p)
+    return lo
 
 
 def liveness_accel(v: float, vl: float, vh: float, A: float, B: float) -> float:
     """Reference speed law: speed up below the limits, cruise inside them,
-    brake above them. It assumes 0 <= vl < vh, which ``PlanGraph.validate``
-    requires of every node."""
+    brake above them. It assumes 0 <= vl < vh, which ``PlanGraph``
+    construction requires of every node."""
     if v < vl:
         return A
     if v <= vh:

@@ -85,8 +85,3 @@ class WorldPose:
 def inf_norm(x: float, y: float) -> float:
     """Chebyshev norm max(|x|, |y|)."""
     return max(abs(x), abs(y))
-
-
-def euclid_norm(x: float, y: float) -> float:
-    """Euclidean norm sqrt(x^2 + y^2)."""
-    return math.hypot(x, y)

@@ -247,8 +247,6 @@ def run_episode(cfg: EpisodeConfig):
             if fallback:
                 ctrl_failures += 1
 
-        inforce_world, inforce_k = target.target_world, k_decl
-        inforce_vl, inforce_vh = wp_seg.vl, wp_seg.vh
         if fallback and monitoring:
             fallback_engagements += 1
             a_cmd = fallback_accel(v, p)
@@ -266,37 +264,33 @@ def run_episode(cfg: EpisodeConfig):
         k_act, a_act = actuated(k_cmd, a_cmd, disturbance)
         new_pose, vv, s = arc_step(pose, v, k_act, a_act, dt)
         distance += s
-        cycle_violation = cycle_below_vl = False
         span = goal_span(wp_seg.x, wp_seg.y, k_act, s, eps)
         if span is not None:
             reached_hint = True
             speeds = [math.sqrt(max(0.0, v * v + 2.0 * a_act * sigma)) for sigma in span]
-            cycle_violation = max(speeds) > inforce_vh
-            cycle_below_vl = min(speeds) < inforce_vl
+            if max(speeds) > wp_seg.vh:
+                safety_violations += 1
+            if min(speeds) < wp_seg.vl:
+                below_vl_at_goal += 1
         elapsed_total += dt
 
         # Plant monitor against the in-force target; next_target reuses rel2.
-        x2, y2 = rel2 = to_relative(new_pose, inforce_world)
+        x2, y2 = rel2 = to_relative(new_pose, target.target_world)
         if not (math.isfinite(x2) and math.isfinite(y2)):
             raise ValueError(f"cycle {cycles}: vehicle state overflowed; a parameter is too large")
-        wp2 = RelWaypoint(x2, y2, inforce_k, inforce_vl, inforce_vh)
+        wp2 = RelWaypoint(x2, y2, k_decl, wp_seg.vl, wp_seg.vh)
         plant_verdict = plant_monitor(wp2, vv, dt, p)
         if not plant_verdict.passed:
             plant_failures += 1
             if monitoring:
                 pending_fallback = True
 
-        if cycle_violation:
-            safety_violations += 1
-        if cycle_below_vl:
-            below_vl_at_goal += 1
-
         if collect_log:
             rows.append(LogRow(
                 cycle=cycles, t=elapsed_total - dt, x=pose.x, y=pose.y,
                 psi=pose.heading, v=v, a_cmd=a_prop, a_acted=a_cmd,
-                k_decl=inforce_k, wx=inforce_world[0], wy=inforce_world[1],
-                vl=inforce_vl, vh=inforce_vh,
+                k_decl=k_decl, wx=target.target_world[0], wy=target.target_world[1],
+                vl=wp_seg.vl, vh=wp_seg.vh,
                 ctrl_verdict="pass" if ctrl_verdict.passed else ctrl_verdict.failed_clause.value,
                 plant_verdict="pass" if plant_verdict.passed else plant_verdict.failed_clause.value))
 

@@ -13,7 +13,7 @@ Plan format ('#' starts a comment, whitespace-separated tokens)::
     node <id> <X> <Y> <vl> <vh>
     edge <from> <to> line
     edge <from> <to> arc <curvature>
-    start <id>
+    start <id>             # exactly once
     terminal <id>          # optional, repeatable
 
 Arcs are minor arcs (subtended angle <= 180 degrees) between their
@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from waynet.core import Params, RelWaypoint, WorldPose, euclid_norm
+from waynet.core import Params, RelWaypoint, WorldPose
 from waynet.dynamics import to_relative
 
 CO_CIRCULAR_RTOL = 1e-6
@@ -70,7 +70,7 @@ class Edge:
 
 @dataclass(frozen=True)
 class PlanGraph:
-    """A plan, validated and compiled once on construction: ``segments[i]``
+    """A plan, checked and compiled once on construction: ``segments[i]``
     is ``edges[i]``'s geometry, and a table holds each node's successors."""
 
     nodes: dict[str, Node]
@@ -81,31 +81,6 @@ class PlanGraph:
     _successors: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.validate()
-        segments = []
-        successors: dict[str, list[int]] = {}
-        for i, e in enumerate(self.edges):
-            a, b = self.nodes[e.frm], self.nodes[e.to]
-            geom = arc_geometry(a.x, a.y, b.x, b.y, e.k) if e.kind == "arc" else None
-            ux, uy = b.x - a.x, b.y - a.y
-            chord = math.hypot(ux, uy)
-            # The computed arc must end on its nodes; a NaN distance fails too.
-            if geom is not None and not all(
-                    math.dist(arc_point(geom, f), (n.x, n.y)) <= CO_CIRCULAR_RTOL * chord
-                    for f, n in ((0.0, a), (1.0, b))):
-                raise PlanError(f"arc edge {e.frm!r}->{e.to!r}: curvature {e.k:g} is too "
-                                f"small for floats to hold its circle; use a line")
-            segments.append(Segment(a, b, e.k if geom is not None else 0.0, geom,
-                                    chord, ux * ux + uy * uy))
-            successors.setdefault(e.frm, []).append(i)
-        object.__setattr__(self, "segments", tuple(segments))
-        object.__setattr__(self, "_successors",
-                           {n: tuple(ids) for n, ids in successors.items()})
-
-    def successors(self, node_id: str) -> tuple[int, ...]:
-        return self._successors.get(node_id, ())
-
-    def validate(self) -> None:
         if self.start not in self.nodes:
             raise PlanError(f"unknown start node {self.start!r}")
         for t in self.terminals:
@@ -118,33 +93,51 @@ class PlanGraph:
                 raise PlanError(f"node {n.id!r}: non-positive speed interval width")
             if n.vl < 0.0:
                 raise PlanError(f"node {n.id!r}: negative lower speed limit")
-        for e in self.edges:
+        segments = []
+        successors: dict[str, list[int]] = {}
+        for i, e in enumerate(self.edges):
             for ref in (e.frm, e.to):
                 if ref not in self.nodes:
                     raise PlanError(f"edge references unknown node {ref!r}")
+            name = f"{e.frm!r}->{e.to!r}"
             if e.frm == e.to:
-                raise PlanError(f"edge {e.frm!r}->{e.to!r} loops back to its own node")
+                raise PlanError(f"edge {name} loops back to its own node")
             if not math.isfinite(e.k):
-                raise PlanError(f"edge {e.frm!r}->{e.to!r}: non-finite curvature")
+                raise PlanError(f"edge {name}: non-finite curvature")
             a, b = self.nodes[e.frm], self.nodes[e.to]
+            ux, uy = b.x - a.x, b.y - a.y
+            chord = math.hypot(ux, uy)
+            geom = None
             if e.kind == "arc":
                 if e.k == 0.0:
-                    raise PlanError(f"arc edge {e.frm!r}->{e.to!r} has zero curvature")
+                    raise PlanError(f"arc edge {name} has zero curvature")
                 radius = 1.0 / abs(e.k)
-                chord = math.hypot(b.x - a.x, b.y - a.y)
                 if chord == 0.0:
-                    raise PlanError(f"arc edge {e.frm!r}->{e.to!r}: endpoints coincide")
+                    raise PlanError(f"arc edge {name}: endpoints coincide")
                 if chord > 2.0 * radius * (1.0 + CO_CIRCULAR_RTOL):
-                    raise PlanError(
-                        f"arc edge {e.frm!r}->{e.to!r}: endpoints {chord:g} m apart do not "
-                        f"fit on a circle of radius {radius:g} m")
+                    raise PlanError(f"arc edge {name}: endpoints {chord:g} m apart do not "
+                                    f"fit on a circle of radius {radius:g} m")
+                geom = arc_geometry(a.x, a.y, b.x, b.y, e.k)
+                # The computed arc must end on its nodes; a NaN distance fails too.
+                if not all(math.dist(arc_point(geom, f), (n.x, n.y)) <= CO_CIRCULAR_RTOL * chord
+                           for f, n in ((0.0, a), (1.0, b))):
+                    raise PlanError(f"arc edge {name}: curvature {e.k:g} is too "
+                                    f"small for floats to hold its circle; use a line")
             elif e.kind != "line":
-                raise PlanError(f"edge {e.frm!r}->{e.to!r}: unknown kind {e.kind!r}")
-            elif e.frm == self.start and (a.x, a.y) == (b.x, b.y):
-                raise PlanError(f"start edge {e.frm!r}->{e.to!r}: a line of zero length "
-                                f"gives no start heading")
-        if not any(e.frm == self.start for e in self.edges):
+                raise PlanError(f"edge {name}: unknown kind {e.kind!r}")
+            elif e.frm == self.start and chord == 0.0:
+                raise PlanError(f"start edge {name}: a line of zero length gives no start heading")
+            segments.append(Segment(a, b, e.k if geom is not None else 0.0, geom,
+                                    chord, ux * ux + uy * uy))
+            successors.setdefault(e.frm, []).append(i)
+        if self.start not in successors:
             raise PlanError(f"start node {self.start!r} has no outgoing edges")
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "_successors",
+                           {n: tuple(ids) for n, ids in successors.items()})
+
+    def successors(self, node_id: str) -> tuple[int, ...]:
+        return self._successors.get(node_id, ())
 
 
 def parse_plan(text: str) -> PlanGraph:
@@ -177,6 +170,8 @@ def parse_plan(text: str) -> PlanGraph:
             elif kw == "start":
                 if len(tokens) != 2:
                     raise PlanError("start takes: id", lineno)
+                if start is not None:
+                    raise PlanError(f"duplicate start directive (start is {start!r})", lineno)
                 start = tokens[1]
             elif kw == "terminal":
                 if len(tokens) != 2:
@@ -416,7 +411,7 @@ def next_target(graph: PlanGraph, current: ActiveTarget, pose: WorldPose, rel,
     """
     edge_index = current.edge_index
     rx, ry = rel
-    dist = euclid_norm(rx, ry)
+    dist = math.hypot(rx, ry)
     reached = reached_hint or dist <= p.tol
     # frac accumulates sub-ulp rounding; treat within 1e-9 of 1 as the end.
     at_end = current.frac >= 1.0 - 1e-9

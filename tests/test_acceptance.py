@@ -10,7 +10,7 @@ import pytest
 
 from waynet.cli import main as cli_main
 from waynet.controllers import declared_curvature, liveness_accel
-from waynet.core import Params, RelWaypoint, WorldPose, euclid_norm, inf_norm
+from waynet.core import Params, RelWaypoint, WorldPose, inf_norm
 from waynet.dynamics import Disturbance, arc_step, closed_form_relative, to_relative
 from waynet.harness import EpisodeConfig, run_episode
 from waynet.intervals import IntervalVerdict, Ivl, interval_eval_controller
@@ -93,9 +93,9 @@ def _pursue(sample):
     vl, vh, T, eps = wp0.vl, wp0.vh, p.cycle_max, p.tol
     x, y = wp0.x, wp0.y
     budget = int(10.0 * inf_norm(x, y) / (vl * T)) + 1
-    prev_dist = euclid_norm(x, y)
+    prev_dist = math.hypot(x, y)
     for cycle in range(budget):
-        if euclid_norm(x, y) <= eps:
+        if math.hypot(x, y) <= eps:
             return vl <= v <= vh, cycle, budget
         k = declared_curvature(x, y, 0.0, eps)
         wp = RelWaypoint(x, y, k, vl, vh)
@@ -107,10 +107,10 @@ def _pursue(sample):
         steps = max(1, min(200, int(math.ceil(travel / (0.3 * eps)))))
         for j in range(1, steps + 1):
             xt, yt, vt = closed_form_relative(x, y, v, a, k, T * j / steps)
-            if euclid_norm(xt, yt) <= eps:
+            if math.hypot(xt, yt) <= eps:
                 return vl <= vt <= vh, cycle, budget
         x, y, v = closed_form_relative(x, y, v, a, k, T)
-        dist = euclid_norm(x, y)
+        dist = math.hypot(x, y)
         assert dist < prev_dist, "pursuit made no progress"
         prev_dist = dist
     return False, budget, budget
@@ -244,9 +244,11 @@ def test_criterion_8_interval_soundness():
         verdict = interval_eval_controller(*(Ivl(lo, hi) for lo, hi in lohi), p)
         if verdict is IntervalVerdict.UNKNOWN:
             continue
+        # lo + w * random() is Random.uniform(lo, hi) with w computed once per box.
+        spans = [(lo, hi - lo) for lo, hi in lohi]
         for _ in range(32):
-            s = [rng.uniform(lo, hi) for lo, hi in lohi]
-            point = bool(controller_monitor(RelWaypoint(*s[:5]), s[5], s[6], p))
+            s = [lo + w * rng.random() for lo, w in spans]
+            point = controller_monitor(RelWaypoint(*s[:5]), s[5], s[6], p).passed
             if verdict is IntervalVerdict.DEFINITELY_TRUE:
                 assert point, f"TRUE box {lohi} contains failing point {s}"
             else:

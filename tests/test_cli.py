@@ -7,7 +7,7 @@ import pytest
 
 from waynet import cli
 from waynet.cli import main
-from waynet.plan import gen_environment, serialize
+from waynet.plan import PlanError, gen_environment, parse_plan, serialize
 
 
 def run(capsys, *argv):
@@ -122,6 +122,58 @@ def test_check_plan_zero_length_line_mid_course_ok(tmp_path, capsys):
     assert out.startswith("ok: 4 nodes, 3 edges")
 
 
+_AB = "node a 0 0 0 1\nnode b 5 0 0 1\n"
+
+# One minimal plan per error that PlanGraph construction raises, with the full
+# message; each plan has that one fault.
+_CONSTRUCTION_ERRORS = {
+    "unknown start": (_AB + "edge a b line\nstart z\n", "unknown start node 'z'"),
+    "unknown terminal": (_AB + "edge a b line\nstart a\nterminal z\n",
+                         "unknown terminal node 'z'"),
+    "non-finite number": ("node a nan 0 0 1\nnode b 5 0 0 1\nedge a b line\nstart a\n",
+                          "node 'a': non-finite number"),
+    "empty interval": ("node a 0 0 1 1\nnode b 5 0 0 1\nedge a b line\nstart a\n",
+                       "node 'a': non-positive speed interval width"),
+    "negative vl": ("node a 0 0 -1 1\nnode b 5 0 0 1\nedge a b line\nstart a\n",
+                    "node 'a': negative lower speed limit"),
+    "unknown node": (_AB + "edge a zz line\nstart a\n", "edge references unknown node 'zz'"),
+    "self-loop": (_AB + "edge a a line\nstart a\n", "edge 'a'->'a' loops back to its own node"),
+    "non-finite curvature": (_AB + "edge a b arc -inf\nstart a\n",
+                             "edge 'a'->'b': non-finite curvature"),
+    "zero curvature": (_AB + "edge a b arc 0\nstart a\n", "arc edge 'a'->'b' has zero curvature"),
+    "coincident arc": ("node a 1 1 0 1\nnode b 1 1 0 1\nedge a b arc 0.5\nstart a\n",
+                       "arc edge 'a'->'b': endpoints coincide"),
+    "chord too long": (_AB + "edge a b arc 1\nstart a\n",
+                       "arc edge 'a'->'b': endpoints 5 m apart do not fit on a circle of "
+                       "radius 1 m"),
+    "arc too flat": (_AB + "edge a b arc 1e-300\nstart a\n",
+                     "arc edge 'a'->'b': curvature 1e-300 is too small for floats to hold "
+                     "its circle; use a line"),
+    "zero-length start": ("node a 0 0 0 1\nnode b 0 0 0 1\nedge a b line\nstart a\n",
+                          "start edge 'a'->'b': a line of zero length gives no start heading"),
+    "start without edge": (_AB + "edge b a line\nstart a\n",
+                           "start node 'a' has no outgoing edges"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_CONSTRUCTION_ERRORS))
+def test_each_plan_construction_error_exits_2(tmp_path, capsys, fault):
+    text, message = _CONSTRUCTION_ERRORS[fault]
+    with pytest.raises(PlanError) as exc:
+        parse_plan(text)
+    assert str(exc.value) == message
+    bad = tmp_path / "bad.plan"
+    bad.write_text(text)
+    assert run(capsys, "check-plan", str(bad)) == (2, "", f"error: {message}\n")
+
+
+def test_check_plan_repeated_start_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.plan"
+    bad.write_text(_AB + "edge a b line\nedge b a line\nstart a\nstart b\n")
+    assert run(capsys, "check-plan", str(bad)) == \
+        (2, "", "error: line 6: duplicate start directive (start is 'a')\n")
+
+
 def test_check_plan_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "check-plan", "/nonexistent/x.plan")
     assert code == 2
@@ -164,6 +216,17 @@ def test_simulate_bad_controller_exits_2(capsys):
 def test_simulate_bad_env_exits_2(capsys):
     code, _, err = run(capsys, "simulate", "--env", "atlantis")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, names", [("--env", "rect,turns,rect"),
+                                         ("--controller", "pd1,pd1")])
+def test_simulate_repeated_name_exits_2(capsys, flag, names):
+    # A repeated course used to collapse into one while a repeated controller ran
+    # each seed twice, so the summary counted twice the episodes asked for.
+    code, out, err = run(capsys, "simulate", flag, names, "--episodes", "1")
+    assert code == 2
+    assert out == ""
+    assert "repeated in " + flag in err
 
 
 @pytest.mark.parametrize("value, reason", [

@@ -45,10 +45,6 @@ class TestBangBang:
         assert bang_bang(5.0, -0.5, 0.3, eps=1.0, deadband=0.1,
                          k_max=0.8) == pytest.approx(0.3 - 0.8)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bang_bang(5.0, 0.0, 0.0, eps=1.0, deadband=0.1, k_max=0.0)
-
 
 class TestPd:
     def test_reference_step(self):

@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from waynet.core import (Params, RelWaypoint, WorldPose, euclid_norm, inf_norm,
-                         normalize_angle)
+from waynet.core import Params, RelWaypoint, WorldPose, inf_norm, normalize_angle
 from waynet.dynamics import arc_step
 from waynet.plan import ActiveTarget
 
@@ -15,19 +14,13 @@ def test_inf_norm_values():
     assert inf_norm(12.0, 0.0) == 12.0
 
 
-def test_euclid_norm_values():
-    assert euclid_norm(3.0, 4.0) == 5.0
-    assert euclid_norm(0.0, 0.0) == 0.0
-    assert euclid_norm(1.0, 1.0) == pytest.approx(math.sqrt(2.0))
-
-
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 
 
 @given(finite, finite)
 def test_norm_sandwich(x, y):
     lo = inf_norm(x, y)
-    hi = euclid_norm(x, y)
+    hi = math.hypot(x, y)
     assert lo <= hi <= math.sqrt(2.0) * lo * (1.0 + 1e-15) + 1e-300
 
 

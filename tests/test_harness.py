@@ -1,11 +1,16 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
+from waynet import harness
+from waynet.controllers import choose_accel
 from waynet.dynamics import Disturbance
 from waynet.harness import (CONTROLLERS, ControllerProfile, EpisodeConfig, EpisodeReport,
                             LOG_HEADER, format_log, run_episode, summarize)
-from waynet.plan import gen_environment
+from waynet.monitor import Clause, go
+from waynet.plan import PlanGraph, gen_environment
 
 RECT = gen_environment("rect")
 
@@ -175,3 +180,36 @@ def test_standstill_before_a_pending_fallback_is_not_stuck():
     assert rows[53].a_acted <= 0.0 < rows[54].a_acted
     assert rows[55].v > 0.0
     assert rep.completed and rep.cycles == 71
+
+
+def test_choose_accel_bisects_after_a_switch_to_a_lower_upper_limit(monkeypatch):
+    # Per-node limits vl ~ U(0.5, 3), vh = vl + U(2, 5) from random.Random(seed) on
+    # the turns course: the target moves on to a node whose vh is below the speed,
+    # Go fails upper_speed at the largest candidate and holds at full braking, so
+    # the admissible boundary lies strictly between them.
+    turns = gen_environment("turns")
+    rng = random.Random(11)
+    nodes = {}
+    for nid, n in turns.nodes.items():
+        vl = rng.uniform(0.5, 3.0)
+        nodes[nid] = dataclasses.replace(n, vl=vl, vh=vl + rng.uniform(2.0, 5.0))
+    plan = PlanGraph(nodes=nodes, edges=turns.edges, start=turns.start,
+                     terminals=turns.terminals)
+    calls = []
+
+    def recording(wp, v, p, target_speed):
+        a = choose_accel(wp, v, p, target_speed)
+        calls.append((wp, v, p, target_speed, a))
+        return a
+
+    monkeypatch.setattr(harness, "choose_accel", recording)
+    run_episode(EpisodeConfig(plan, environment="turns", controller="pd2", seed=11,
+                              collect_log=False))
+    bisected = []
+    for wp, v, p, target_speed, a in calls:
+        a_hi = max(-p.brake_max, min(p.accel_max, (target_speed - v) / p.cycle_max))
+        if -p.brake_max < a < a_hi and go(wp, v, a, p).passed:
+            assert go(wp, v, a_hi, p).failed_clause is Clause.UPPER_SPEED
+            assert v > wp.vh
+            bisected.append(a)
+    assert bisected

@@ -167,6 +167,14 @@ class TestCompiledPlan:
         with pytest.raises(PlanError, match="endpoints coincide"):
             parse_plan("node a 1 1 0 1\nnode b 1 1 0 1\nstart a\nedge a b arc 0.5\n")
 
+    def test_unknown_edge_kind_rejected_at_construction(self):
+        # The plan format cannot spell another kind, so build the graph directly.
+        nodes = {n: Node(n, x, 0.0, 0.0, 1.0) for n, x in (("a", 0.0), ("b", 5.0))}
+        with pytest.raises(PlanError) as exc:
+            PlanGraph(nodes=nodes, edges=(Edge("a", "b", "spline"),), start="a",
+                      terminals=frozenset())
+        assert str(exc.value) == "edge 'a'->'b': unknown kind 'spline'"
+
     def test_gentle_arc_still_compiles(self):
         arc, = parse_plan("node a 0 0 1 5\nnode b 20 0 1 5\nstart a\nedge a b arc 1e-6\n").segments
         assert arc.point(1.0) == pytest.approx((20.0, 0.0), abs=1e-9)
@@ -404,7 +412,6 @@ class TestEnvironments:
         assert len(arcs) == 4
         assert all(e.k == pytest.approx(arcs[0].k) for e in arcs)
         assert g.start in g.terminals
-        g.validate()
 
     def test_turns_is_tighter_than_rect(self):
         rect = gen_environment("rect", 40.0)
