@@ -25,9 +25,11 @@ won, and a verdict:
 
 It also records each per-layer metric's traced runs and their median per
 side, whether every run of both sides gave the same fingerprint, and the
-failed-operation counts. Traced times are not scaled for CPU speed, and a
-single traced run per side let CPU drift outweigh a 5-10% change in a layer;
-read them for shares and call counts.
+failed-operation counts. Traced times are not scaled for CPU speed, and even
+the median of 3 alternating traced pairs can land in one slow phase of the
+CPU: in BENCH_12.json two of the change's three traced ``grid`` runs did, and
+``harness.self`` read 15.9 -> 21.4 us per cycle while throughput did not move.
+Read traced values for shares and call counts, not for gains.
 """
 
 from __future__ import annotations

@@ -74,10 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run an episode grid and summarize")
-    sim.add_argument("--env", default="rect",
+    sim.add_argument("--env",
                      help=f"course name from {ENVIRONMENTS}, or 'all', "
-                          "or a comma-separated list")
-    sim.add_argument("--plan", type=Path, help="plan file overriding --env")
+                          "or a comma-separated list; default: rect")
+    sim.add_argument("--plan", type=Path, help="plan file run instead of a built-in course")
     sim.add_argument("--controller", default="pd1",
                      help=f"controller from {CONTROLLERS}, or 'all', "
                           "or a comma-separated list")
@@ -137,11 +137,13 @@ def _cmd_simulate(args) -> int:
     params = _params(args)
     controllers = _name_list(args.controller, CONTROLLERS, "controller", "--controller")
     if args.plan is not None:
-        if args.scale is not None:
-            raise ValueError("--scale applies to built-in courses, not to a --plan file")
+        for flag, value in (("--env", args.env), ("--scale", args.scale)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to built-in courses, not to a --plan file")
         plans = {args.plan.stem: parse_plan(args.plan.read_text())}
     else:
-        envs = _name_list(args.env, ENVIRONMENTS, "environment", "--env")
+        envs = _name_list("rect" if args.env is None else args.env,
+                          ENVIRONMENTS, "environment", "--env")
         plans = {env: gen_environment(env, args.scale) for env in envs}
 
     out_dir = args.out

@@ -7,6 +7,10 @@ circular arc (a line for k = 0) of length s = v t + a t^2 / 2. The plant
 domain never allows reverse motion: when braking drives the speed to zero
 the trajectory freezes there (handled analytically, since speed is linear
 in time).
+
+No point of an arc of length s is farther than s from where it starts (a
+chord is never longer than its arc), so ``goal_span`` answers a goal beyond
+s + eps with one comparison and no trigonometry.
 """
 
 from __future__ import annotations
@@ -97,7 +101,15 @@ def goal_span(x: float, y: float, k: float, s: float, eps: float):
     origin heading +x, first and last lies within eps of the point (x, y), or
     None when it never does. An arc that wraps its circle can leave and
     re-enter the region in between; the cost does not grow with the turns.
+
+    A target beyond s + eps from the origin gives None at once. The test
+    needs a relative margin of 1e-9, far above float rounding, plus 1e-300
+    for subnormal squares, so it drops no span; a NaN input or an infinite s
+    or eps never fires it.
     """
+    r = s + eps
+    if x * x + y * y > r * r * (1.0 + 1e-9) + 1e-300:
+        return None
     if k == 0.0:
         h2 = eps * eps - y * y
         if h2 < 0.0:

@@ -311,6 +311,18 @@ def test_simulate_plan_rejects_scale(tmp_path, capsys, scale):
     assert "--scale" in err
 
 
+@pytest.mark.parametrize("env", ["clover", "bogus"])
+def test_simulate_plan_rejects_env(tmp_path, capsys, env):
+    # A plan file is the course: --env, known or not, must not pass silently.
+    plan = tmp_path / "rect.plan"
+    run(capsys, "gen-env", "rect", "--out", str(plan))
+    code, out, err = run(capsys, "simulate", "--plan", str(plan), "--episodes", "1",
+                         "--env", env)
+    assert code == 2
+    assert out == ""
+    assert "--env" in err
+
+
 @pytest.mark.parametrize("name", ["rect", "turns", "clover"])
 def test_gen_env_plan_is_the_simulated_course(tmp_path, capsys, name):
     plan = tmp_path / f"{name}.plan"

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from waynet import dynamics
 from waynet.core import WorldPose
 from waynet.dynamics import (Disturbance, actuated, arc_step, closed_form_relative,
                              goal_span, to_relative)
@@ -159,6 +160,40 @@ class TestGoalIntervals:
             # The first and last samples inside the region lie within the span.
             assert span is not None, inside[0]
             assert lo <= inside[0] and inside[-1] <= hi, (inside[0], inside[-1], span)
+
+    # |k| s > 2 pi for s above about 1.3 m (k = 5) or 0.13 m (k = 50).
+    WRAPPING = [sign * m for m in (5.0, 50.0) for sign in (1, -1)]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(k=st.sampled_from(CURVATURES + WRAPPING),
+           s=st.floats(0.0, 60.0),
+           eps=st.floats(0.1, 2.0),
+           delta=st.floats(1e-6, 0.5),
+           theta=st.floats(-math.pi, math.pi))
+    @example(k=50.0, s=60.0, eps=0.1, delta=1e-6, theta=0.0)
+    def test_target_out_of_reach_is_a_miss(self, k, s, eps, delta, theta):
+        # No point of the arc is farther than s from the origin, so a target
+        # beyond s + eps is never within eps of the arc.
+        d = (s + eps) * (1.0 + delta)
+        x, y = d * math.cos(theta), d * math.sin(theta)
+        assert goal_span(x, y, k, s, eps) is None
+        n = 4000
+        assert all(_arc_distance(x, y, k, min(s, s * i / n)) > eps for i in range(n + 1))
+
+    def test_target_at_the_reach_is_met(self):
+        # Straight ahead at exactly s + eps: the arc's last point is on the
+        # region's edge.
+        assert goal_span(11.0, 0.0, 0.0, 10.0, 1.0) == (10.0, 10.0)
+
+    @pytest.mark.parametrize("x, y, k", [(30.0, 5.0, 0.5), (30.0, 0.0, 0.0),
+                                         (-11.5, 0.0, -2.0), (math.inf, 0.0, 0.5)])
+    def test_target_out_of_reach_skips_the_geometry(self, monkeypatch, x, y, k):
+        def fail(*args):
+            raise AssertionError("goal-region geometry ran for a target out of reach")
+
+        for name in ("asin", "atan2", "hypot", "sqrt", "floor"):
+            monkeypatch.setattr(dynamics.math, name, fail)
+        assert goal_span(x, y, k, 10.0, 1.0) is None
 
     def test_grazing_pass_between_substeps(self):
         # 35 m/s for a 0.5 s cycle; the chord through the disk is 0.089 m long
