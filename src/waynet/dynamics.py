@@ -104,15 +104,16 @@ def goal_span(x: float, y: float, k: float, s: float, eps: float):
 
     A target beyond s + eps from the origin gives None at once. The test
     needs a relative margin of 1e-9, far above float rounding, plus 1e-300
-    for subnormal squares, so it drops no span; a NaN input or an infinite s
-    or eps never fires it.
+    for subnormal squares, so it drops no span. Every comparison is written to
+    fail on NaN, so any NaN argument gives None; an infinite s or eps never
+    fires the test.
     """
     r = s + eps
-    if x * x + y * y > r * r * (1.0 + 1e-9) + 1e-300:
+    if not x * x + y * y <= r * r * (1.0 + 1e-9) + 1e-300:
         return None
     if k == 0.0:
         h2 = eps * eps - y * y
-        if h2 < 0.0:
+        if not h2 >= 0.0:
             return None
         h = math.sqrt(h2)
         lo, hi = max(0.0, x - h), min(s, x + h)
@@ -126,7 +127,7 @@ def goal_span(x: float, y: float, k: float, s: float, eps: float):
     w = math.hypot(ak * x, ak * y - sgn)
     delta = (ak * (x * x + y * y) - 2.0 * y * sgn) / (w + 1.0)
     h2 = eps * eps - delta * delta
-    if h2 < 0.0:
+    if not h2 >= 0.0:
         return None
     # Inside the disk iff the turn angle |k| sigma is within alpha of
     # beta + 2 pi n, beta the angle of closest approach (law of cosines about

@@ -16,10 +16,19 @@ may not be a float), steps one float outward with ``math.nextafter``; a
 round-to-nearest result is never more than that step from the exact one. An
 exact float result stays a point, so cruising at ``v = vl`` with ``a = 0``
 keeps ``v + a*T`` the point ``v`` and its limit comparison decided.
-Point operands (``lo == hi``, as the harness passes) take one transform for
-``+``, ``-``, ``*`` and squares, which rounds both endpoints; the sign cases
-of the box path would run that same transform once per endpoint. A zero
+Arithmetic reads a float or ``Ivl`` operand's endpoints inline and converts
+any other real with ``Ivl`` first; a comparison takes any other real as the
+exact point it is. Point operands (``lo == hi``, as the harness passes) take
+one transform for ``+``, ``-``, ``*`` and squares, which rounds both
+endpoints. A box takes one per endpoint: TwoSum in the operator, and for
+products ``_lo``, which rounds down only (``-_lo(-a, b)`` rounds up). A zero
 endpoint's sign may differ between the two paths, which no comparison sees.
+
+The monitor halves by ``* 0.5``, one product, where ``/ 2.0`` also checked
+its quotient. Their endpoints differ in two bands, both sound: a halved
+value in [2**-961, 2**-960) is below 2**-960 and steps outward where the
+quotient was exact, and one in (2**959, 2**960] stays exact where the
+quotient's check overflowed and stepped.
 
 No endpoint is ever NaN: ``Ivl`` rejects one, and an operation whose endpoint
 would be NaN (``inf - inf``, ``0 * inf``, ``inf / inf``) raises
@@ -67,16 +76,6 @@ class NaNInterval(ArithmeticError):
     """An endpoint would be NaN (inf - inf, 0 * inf); the enclosing clause is Unknown."""
 
 
-def _sum(a: float, b: float) -> tuple[float, float]:
-    """(lo, hi) enclosing the exact a + b. Knuth's TwoSum error is exact for
-    every finite a, b; an overflow makes it NaN, which steps both sides."""
-    s = a + b
-    t = s - a
-    err = (a - (s - t)) + (b - t)
-    return (s if err >= 0.0 else math.nextafter(s, -math.inf),
-            s if err <= 0.0 else math.nextafter(s, math.inf))
-
-
 def _prod(a: float, b: float) -> tuple[float, float]:
     """(lo, hi) enclosing the exact a * b. Dekker's TwoProduct error is exact
     for _TINY <= |a*b| <= _HUGE (NaN if the split overflows); outside that
@@ -97,6 +96,24 @@ def _prod(a: float, b: float) -> tuple[float, float]:
     return math.nextafter(p, -math.inf), math.nextafter(p, math.inf)
 
 
+def _lo(a: float, b: float) -> float:
+    """``_prod(a, b)[0]``, the exact a * b rounded down, for box endpoints;
+    ``-_lo(-a, b)`` is ``_prod(a, b)[1]``, as negation is exact."""
+    p = a * b
+    if _TINY <= abs(p) <= _HUGE:
+        c = _SPLIT * a
+        ah = c - (c - a)
+        al = a - ah
+        c = _SPLIT * b
+        bh = c - (c - b)
+        bl = b - bh
+        if al * bl - (((p - ah * bh) - al * bh) - ah * bl) >= 0.0:
+            return p
+    elif p == 0.0 and (a == 0.0 or b == 0.0):
+        return p
+    return math.nextafter(p, -math.inf)
+
+
 def _quot(a: float, b: float) -> tuple[float, float]:
     """(lo, hi) enclosing the exact a / b for b != 0: the quotient q itself
     when q * b == a exactly, else one step outward on both sides."""
@@ -113,17 +130,6 @@ def _ivl(lo: float, hi: float) -> Ivl:
     r.lo = lo
     r.hi = hi
     return r
-
-
-def _add(a: float, b: float, c: float, d: float) -> Ivl:
-    """[a, b] + [c, d]."""
-    if a == b and c == d:
-        r = object.__new__(Ivl)
-        r.lo, r.hi = _sum(a, c)
-        if not r.lo <= r.hi:
-            raise NaNInterval(f"NaN endpoint: {a} + {c}")
-        return r
-    return _ivl(_sum(a, c)[0], _sum(b, d)[1])
 
 
 class Ivl:
@@ -155,21 +161,61 @@ class Ivl:
         return f"Ivl({self.lo!r}, {self.hi!r})"
 
     def __add__(self, other):
-        c, d = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
-        return _add(self.lo, self.hi, c, d)
+        a, b = self.lo, self.hi
+        if type(other) is Ivl:
+            c, d = other.lo, other.hi
+        elif type(other) is float:
+            c = d = other
+        else:
+            return self + Ivl(other)
+        # TwoSum per endpoint; two point operands share one.
+        s = a + c
+        t = s - a
+        err = (a - (s - t)) + (c - t)
+        r = object.__new__(Ivl)
+        r.lo = s if err >= 0.0 else math.nextafter(s, -math.inf)
+        if a != b or c != d:
+            s = b + d
+            t = s - b
+            err = (b - (s - t)) + (d - t)
+        r.hi = s if err <= 0.0 else math.nextafter(s, math.inf)
+        if not r.lo <= r.hi:  # directed rounding keeps lo <= hi, so only a NaN fails
+            raise NaNInterval(f"NaN endpoint: [{a}, {b}] + [{c}, {d}]")
+        return r
 
     def __sub__(self, other):
-        c, d = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
-        return _add(self.lo, self.hi, -d, -c)
+        a, b = self.lo, self.hi
+        if type(other) is Ivl:
+            c, d = -other.hi, -other.lo
+        elif type(other) is float:
+            c = d = -other
+        else:
+            return self - Ivl(other)
+        s = a + c
+        t = s - a
+        err = (a - (s - t)) + (c - t)
+        r = object.__new__(Ivl)
+        r.lo = s if err >= 0.0 else math.nextafter(s, -math.inf)
+        if a != b or c != d:
+            s = b + d
+            t = s - b
+            err = (b - (s - t)) + (d - t)
+        r.hi = s if err <= 0.0 else math.nextafter(s, math.inf)
+        if not r.lo <= r.hi:
+            raise NaNInterval(f"NaN endpoint: [{a}, {b}] - [{-d}, {-c}]")
+        return r
 
     def __neg__(self):
         return _ivl(-self.hi, -self.lo)
 
     def __mul__(self, other):
-        if other is self:
-            return self.square()
         a, b = self.lo, self.hi
-        c, d = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        if type(other) is Ivl:
+            c, d = other.lo, other.hi
+        elif type(other) is float:
+            c = d = other
+        else:
+            return self * Ivl(other)
         if a == b and c == d:
             r = object.__new__(Ivl)
             r.lo, r.hi = _prod(a, c)
@@ -180,22 +226,24 @@ class Ivl:
         # 0 * inf is computed only where it would be an endpoint.
         if a >= 0.0:
             if c >= 0.0:
-                return _ivl(_prod(a, c)[0], _prod(b, d)[1])
+                return _ivl(_lo(a, c), -_lo(-b, d))
             if d <= 0.0:
-                return _ivl(_prod(b, c)[0], _prod(a, d)[1])
-            return _ivl(_prod(b, c)[0], _prod(b, d)[1])
+                return _ivl(_lo(b, c), -_lo(-a, d))
+            return _ivl(_lo(b, c), -_lo(-b, d))
         if b <= 0.0:
             if c >= 0.0:
-                return _ivl(_prod(a, d)[0], _prod(b, c)[1])
+                return _ivl(_lo(a, d), -_lo(-b, c))
             if d <= 0.0:
-                return _ivl(_prod(b, d)[0], _prod(a, c)[1])
-            return _ivl(_prod(a, d)[0], _prod(a, c)[1])
+                return _ivl(_lo(b, d), -_lo(-a, c))
+            return _ivl(_lo(a, d), -_lo(-a, c))
         if c >= 0.0:
-            return _ivl(_prod(a, d)[0], _prod(b, d)[1])
+            return _ivl(_lo(a, d), -_lo(-b, d))
         if d <= 0.0:
-            return _ivl(_prod(b, c)[0], _prod(a, c)[1])
-        return _ivl(min(_prod(a, d)[0], _prod(b, c)[0]),
-                    max(_prod(a, c)[1], _prod(b, d)[1]))
+            return _ivl(_lo(b, c), -_lo(-a, c))
+        if other is self:  # a square straddling zero
+            return _ivl(0.0, max(-_lo(-a, c), -_lo(-b, d)))
+        return _ivl(min(_lo(a, d), _lo(b, c)),
+                    max(-_lo(-a, c), -_lo(-b, d)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -204,7 +252,8 @@ class Ivl:
         return -self + other
 
     def __truediv__(self, other):
-        c, d = _bounds(other)
+        o = other if type(other) is Ivl else Ivl(other)
+        c, d = o.lo, o.hi
         if c <= 0.0 <= d:
             raise ZeroDivideInterval(f"division by [{c}, {d}]")
         if d < 0.0:
@@ -214,16 +263,7 @@ class Ivl:
                     _quot(b, c if b >= 0.0 else d)[1])
 
     def square(self):
-        a, b = self.lo, self.hi
-        if a == b:
-            r = object.__new__(Ivl)
-            r.lo, r.hi = _prod(a, a)
-            return r
-        if a >= 0.0:
-            return _ivl(_prod(a, a)[0], _prod(b, b)[1])
-        if b <= 0.0:
-            return _ivl(_prod(b, b)[0], _prod(a, a)[1])
-        return _ivl(0.0, max(_prod(a, a)[1], _prod(b, b)[1]))
+        return self * self
 
     def __abs__(self):
         if self.lo >= 0.0:
@@ -233,7 +273,7 @@ class Ivl:
         return _ivl(0.0, max(-self.lo, self.hi))
 
     def __lt__(self, other):
-        lo, hi = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        lo, hi = (other.lo, other.hi) if type(other) is Ivl else (other, other)
         if self.hi < lo:
             return True
         if self.lo >= hi:
@@ -241,7 +281,7 @@ class Ivl:
         raise Undecided
 
     def __le__(self, other):
-        lo, hi = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        lo, hi = (other.lo, other.hi) if type(other) is Ivl else (other, other)
         if self.hi <= lo:
             return True
         if self.lo > hi:
@@ -249,7 +289,7 @@ class Ivl:
         raise Undecided
 
     def __gt__(self, other):
-        lo, hi = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        lo, hi = (other.lo, other.hi) if type(other) is Ivl else (other, other)
         if self.lo > hi:
             return True
         if self.hi <= lo:
@@ -257,23 +297,12 @@ class Ivl:
         raise Undecided
 
     def __ge__(self, other):
-        lo, hi = (other.lo, other.hi) if type(other) is Ivl else _bounds(other)
+        lo, hi = (other.lo, other.hi) if type(other) is Ivl else (other, other)
         if self.lo >= hi:
             return True
         if self.hi < lo:
             return False
         raise Undecided
-
-
-def _bounds(x) -> tuple[float, float]:
-    """(lo, hi) of an operand: an Ivl's endpoints, a float itself, or the
-    outward-rounded endpoints of any other real."""
-    if isinstance(x, Ivl):
-        return x.lo, x.hi
-    if type(x) is float:
-        return x, x
-    x = Ivl(x)
-    return x.lo, x.hi
 
 
 class _PointParams(NamedTuple):

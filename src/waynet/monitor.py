@@ -77,7 +77,7 @@ PASS = MonitorVerdict(True, Clause.NONE)
 
 def ann_residual(x: float, y: float, k: float, eps: float) -> float:
     """Signed distance-like residual of the annulus band: k(x^2+y^2-eps^2)/2 - y."""
-    return k * (x * x + y * y - eps * eps) / 2.0 - y
+    return k * (x * x + y * y - eps * eps) * 0.5 - y
 
 
 def feas(wp: RelWaypoint, p: Params) -> MonitorVerdict:
@@ -114,9 +114,9 @@ def go(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
     except Undecided:  # the distance disjunct below may still decide
         within, undecided = False, True
     if not within:
-        gap_term = (v_end * v_end - wp.vh * wp.vh) / (2 * p.brake_max)
+        gap_term = (v_end * v_end - wp.vh * wp.vh) / (2.0 * p.brake_max)
         bloat = 1.0 + abs(wp.k) * p.tol
-        need = bloat * bloat * (v * T + a * T * T / 2.0 + gap_term) + p.tol
+        need = bloat * bloat * (v * T + a * T * T * 0.5 + gap_term) + p.tol
         # need <= max(|x|, |y|) side by side: over boxes, max(|x|, |y|) can be undecided.
         for side in (wp.x, wp.y):
             try:
@@ -134,9 +134,9 @@ def go(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
             return PASS
     except Undecided:
         undecided = True
-    gap_term = (wp.vl * wp.vl - v_end * v_end) / (2 * p.accel_max)
+    gap_term = (wp.vl * wp.vl - v_end * v_end) / (2.0 * p.accel_max)
     bloat = 1.0 + abs(wp.k) * p.tol
-    need = bloat * bloat * (v * T + a * T * T / 2.0 + gap_term) + p.tol
+    need = bloat * bloat * (v * T + a * T * T * 0.5 + gap_term) + p.tol
     for side in (wp.x, wp.y):
         try:
             if need <= abs(side):

@@ -234,6 +234,7 @@ def test_criterion_7_unmonitored_greedy_collides():
 def test_criterion_8_interval_soundness():
     rng = random.Random(8)
     p = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
+    counts = dict.fromkeys(IntervalVerdict, 0)
     for _ in range(100_000):
         center = (rng.uniform(-2.0, 15.0), rng.uniform(-3.0, 3.0),
                   rng.uniform(-2.5, 2.5), rng.uniform(-0.5, 3.0),
@@ -242,6 +243,7 @@ def test_criterion_8_interval_soundness():
         widths = [rng.uniform(0.0, 0.2) for _ in range(7)]
         lohi = [(c - w, c + w) for c, w in zip(center, widths)]
         verdict = interval_eval_controller(*(Ivl(lo, hi) for lo, hi in lohi), p)
+        counts[verdict] += 1
         if verdict is IntervalVerdict.UNKNOWN:
             continue
         # lo + w * random() is Random.uniform(lo, hi) with w computed once per box.
@@ -253,6 +255,10 @@ def test_criterion_8_interval_soundness():
                 assert point, f"TRUE box {lohi} contains failing point {s}"
             else:
                 assert not point, f"FALSE box {lohi} contains passing point {s}"
+    # Pinned so that a change in interval tightness shows.
+    assert counts == {IntervalVerdict.DEFINITELY_TRUE: 17,
+                      IntervalVerdict.DEFINITELY_FALSE: 82_923,
+                      IntervalVerdict.UNKNOWN: 17_060}
 
 
 # -- 9. Go oracle ------------------------------------------------------------------

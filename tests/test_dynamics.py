@@ -195,6 +195,13 @@ class TestGoalIntervals:
             monkeypatch.setattr(dynamics.math, name, fail)
         assert goal_span(x, y, k, 10.0, 1.0) is None
 
+    @pytest.mark.parametrize("x, y, k, s, eps", [
+        (math.nan, 0.0, 0.5, 10.0, 1.0), (0.0, math.nan, 0.5, 10.0, 1.0),
+        (2.0, 0.0, math.nan, 10.0, 1.0), (2.0, 0.0, 0.5, math.nan, 1.0),
+        (2.0, 0.0, 0.5, 10.0, math.nan)])
+    def test_nan_argument_is_a_miss(self, x, y, k, s, eps):
+        assert goal_span(x, y, k, s, eps) is None
+
     def test_grazing_pass_between_substeps(self):
         # 35 m/s for a 0.5 s cycle; the chord through the disk is 0.089 m long
         # and lies between two of the 20 equally spaced points of the arc.

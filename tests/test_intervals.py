@@ -11,6 +11,7 @@ from waynet.core import Params, RelWaypoint
 from waynet.intervals import (IntervalVerdict, Ivl, NaNInterval, ZeroDivideInterval,
                               interval_eval_controller)
 from waynet.monitor import Undecided, controller_monitor
+from waynet.verify import sample_compliant_state
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
 
@@ -40,6 +41,16 @@ _SMALLEST = math.ulp(0.0)
 
 def _is_float(q: Fraction) -> bool:
     return Fraction(float(q)) == q
+
+
+def _down(q: Fraction) -> float:
+    f = float(q)
+    return f if Fraction(f) <= q else math.nextafter(f, -math.inf)
+
+
+def _up(q: Fraction) -> float:
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
 def _encloses(ivl: Ivl, exact) -> bool:
@@ -108,6 +119,8 @@ def test_binary_ops_enclose_the_exact_result(x, y, name):
 @example(Ivl(1e-200), Ivl(-1e-200, 1e-300), "*")        # product underflows
 @example(Ivl(_SMALLEST), Ivl(0.5), "*")
 @example(Ivl(2.0 ** -500), Ivl(2.0 ** -480), "*")       # exact, below 2**-960
+@example(Ivl(1.5 * 2.0 ** -960), Ivl(0.5), "*")         # halved below 2**-960
+@example(Ivl(1.5 * 2.0 ** 960), Ivl(0.5), "*")          # halved just below 2**960
 @example(Ivl(1e308), Ivl(1e-10), "/")                   # quotient overflows
 @example(Ivl(_SMALLEST), Ivl(3.0), "/")                 # quotient underflows
 @example(Ivl(-(2.0 ** -1000)), Ivl(2.0 ** 30, _LARGEST), "/")
@@ -151,11 +164,49 @@ def test_point_operations_are_the_tightest_enclosure(a, c, name):
     else:
         op = _BINARY[name]
         result, exact = op(Ivl(a), Ivl(c)), op(Fraction(a), Fraction(c))
-    nearest = float(exact)
-    down = nearest if Fraction(nearest) <= exact else math.nextafter(nearest, -math.inf)
-    up = nearest if Fraction(nearest) >= exact else math.nextafter(nearest, math.inf)
-    assert (result.lo, result.hi) == (down, up), (a, name, c, result)
+    assert (result.lo, result.hi) == (_down(exact), _up(exact)), (a, name, c, result)
     assert (result.lo == result.hi) == _is_float(exact)
+
+
+@st.composite
+def _boxes(draw):
+    lo, hi = sorted((draw(_FLOAT), draw(_FLOAT)))
+    return Ivl(lo, hi)
+
+
+# The box paths, bit for bit, on the safe range: each endpoint of a sum,
+# difference, product or square is the exact extreme endpoint rounded in its
+# direction; a quotient endpoint is the float quotient itself when exact, else
+# one float outward.
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(_boxes(), _boxes(), st.sampled_from(["+", "-", "*", "/", "square"]))
+@example(Ivl(-2.0, 3.0), Ivl(-1.0, 4.0), "*")
+@example(Ivl(0.1, 0.3), Ivl(-0.7, -0.2), "*")
+@example(Ivl(-0.3, 0.1), Ivl(0.0), "square")
+@example(Ivl(0.1, 0.2), Ivl(3.0, 7.0), "/")
+@example(Ivl(-1.0, 0.1), Ivl(-3.0, -0.5), "/")
+def test_box_endpoints_are_the_rounded_exact_extremes(x, y, name):
+    if name == "square":
+        result = x.square()
+        images = [Fraction(e) ** 2 for e in (x.lo, x.hi)]
+        if x.lo <= 0.0 <= x.hi:
+            images.append(Fraction(0))
+    elif name == "/" and y.lo <= 0.0 <= y.hi:
+        with pytest.raises(ZeroDivideInterval):
+            x / y
+        return
+    else:
+        op = _BINARY[name]
+        result = op(x, y)
+        images = [op(Fraction(a), Fraction(c)) for a in (x.lo, x.hi) for c in (y.lo, y.hi)]
+    least, most = min(images), max(images)
+    if name == "/":
+        lo, hi = float(least), float(most)
+        expected = (lo if Fraction(lo) == least else math.nextafter(lo, -math.inf),
+                    hi if Fraction(hi) == most else math.nextafter(hi, math.inf))
+    else:
+        expected = (_down(least), _up(most))
+    assert (result.lo, result.hi) == expected, (x, name, y, result)
 
 
 class TestIvl:
@@ -210,6 +261,12 @@ class TestIvl:
         touch = Ivl(1, 2)
         assert (lo <= touch, lo > touch, touch >= lo, touch < lo) == (True, False, True, False)
         assert (0.0 <= lo, lo < 1.5, Fraction(-1) < lo) == (True, True, True)
+
+    def test_comparison_with_another_real_is_exact(self):
+        # The float 0.1 lies above 1/10; rounding 1/10 outward to floats
+        # would put 0.1 inside it and leave the comparison undecided.
+        tenth = Fraction(1, 10)
+        assert (Ivl(0.1) > tenth, tenth < Ivl(0.1), Ivl(0.1) <= tenth) == (True, True, False)
 
     @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
     def test_comparisons_undecided_when_overlapping(self, op):
@@ -313,3 +370,25 @@ def test_box_verdicts_are_sound():
                 assert point, f"TRUE box contains failing point {s}"
             elif iv is IntervalVerdict.DEFINITELY_FALSE:
                 assert not point, f"FALSE box contains passing point {s}"
+
+
+# Boxes around compliant states, each of the seven fields widened by r times
+# its magnitude, are mostly DefinitelyTrue, so the TRUE half of soundness rests
+# on thousands of boxes. The pinned counts move when interval tightness does.
+@pytest.mark.parametrize("r, certified", [(1e-6, 3000), (1e-4, 2985), (1e-2, 1444)])
+def test_definitely_true_boxes_around_compliant_states_are_sound(r, certified):
+    rng = random.Random(16)
+    states = [sample_compliant_state(rng, seed=i) for i in range(3000)]
+    count = 0
+    for s in states:
+        center = (s.wp.x, s.wp.y, s.wp.k, s.wp.vl, s.wp.vh, s.v, s.a)
+        lohi = [(c - abs(c) * r, c + abs(c) * r) for c in center]
+        if interval_eval_controller(*box(*lohi), s.p) is not IntervalVerdict.DEFINITELY_TRUE:
+            continue
+        count += 1
+        spans = [(lo, hi - lo) for lo, hi in lohi]
+        for _ in range(16):
+            q = [lo + w * rng.random() for lo, w in spans]
+            assert controller_monitor(RelWaypoint(*q[:5]), q[5], q[6], s.p).passed, \
+                f"TRUE box {lohi} contains failing point {q}"
+    assert count == certified
