@@ -1,6 +1,6 @@
-"""Kinematics: the exact flow of the plant, in the body frame and in the
-world frame, the exact first entry into and last exit from a goal region
-along it, actuation disturbance, and world/body frame conversion.
+"""Kinematics: the exact plant flow, streamed over a grid of times in the
+body frame and stepped in the world frame; the exact first entry into and last
+exit from a goal region along it; actuation disturbance; world/body conversion.
 
 Within a cycle curvature and acceleration are constant, so the path is a
 circular arc (a line for k = 0) of length s = v t + a t^2 / 2. The plant
@@ -48,8 +48,10 @@ class Disturbance:
 
 def _travel(v0: float, a: float, t: float):
     """Speed and arc length after time t, frozen at the v = 0 event for a < 0."""
-    td = min(t, v0 / -a) if a < 0.0 else t
-    return max(0.0, v0 + a * td), v0 * td + a * td * td / 2.0
+    stop = v0 / -a if a < 0.0 else t
+    td = stop if stop < t else t
+    v = v0 + a * td
+    return v if v > 0.0 else 0.0, v0 * td + a * td * td / 2.0
 
 
 def _arc_terms(u: float):
@@ -67,20 +69,22 @@ def _arc_terms(u: float):
             u / 2.0 * (1.0 - u2 / 12.0 * (1.0 - u2 / 30.0)))
 
 
-def closed_form_relative(x: float, y: float, v0: float, a: float, k: float, t: float):
-    """Exact flow of the plant ODE for time t >= 0. Returns (x, y, v).
+def closed_form_relative(x: float, y: float, v0: float, a: float, k: float, times):
+    """Exact flow of the plant ODE from (x, y, v0): (t, x, y, v) for each time
+    of the iterable times, in order; ValueError on reaching a time below 0.
 
     Speed is linear in time until the v = 0 event; the arc length drives a
     pure translation (k = 0) or a rotation about (0, 1/k) (k != 0).
     """
-    if t < 0.0:
-        raise ValueError(f"closed_form_relative requires t >= 0, got {t!r}")
-    v, s = _travel(v0, a, t)
-    if k == 0.0:
-        return x - s, y, v
-    # Rotation about (0, 1/k) by -k s.
-    c, sn, sinc, hvc = _arc_terms(k * s)
-    return x * c + y * sn - s * sinc, y * c - x * sn + s * hvc, v
+    for t in times:
+        if t < 0.0:
+            raise ValueError(f"closed_form_relative requires t >= 0, got {t!r}")
+        v, s = _travel(v0, a, t)
+        if k == 0.0:
+            yield t, x - s, y, v
+        else:
+            c, sn, sinc, hvc = _arc_terms(k * s)
+            yield t, x * c + y * sn - s * sinc, y * c - x * sn + s * hvc, v
 
 
 def arc_step(pose: WorldPose, v: float, k: float, a: float, dt: float):
@@ -106,7 +110,7 @@ def goal_span(x: float, y: float, k: float, s: float, eps: float):
     needs a relative margin of 1e-9, far above float rounding, plus 1e-300
     for subnormal squares, so it drops no span. Every comparison is written to
     fail on NaN, so any NaN argument gives None; an infinite s or eps never
-    fires the test.
+    fires the test, and an arc of infinite turn k s wraps forever: it ends at s.
     """
     r = s + eps
     if not x * x + y * y <= r * r * (1.0 + 1e-9) + 1e-300:
@@ -143,7 +147,7 @@ def goal_span(x: float, y: float, k: float, s: float, eps: float):
     enter = first - alpha
     if enter > u_max:
         return None
-    hi = first + math.floor((u_max - enter) / turn) * turn + alpha
+    hi = first + math.floor((u_max - enter) / turn) * turn + alpha if u_max < math.inf else u_max
     return min(s, max(0.0, enter) / ak), s if hi >= u_max else hi / ak
 
 

@@ -28,6 +28,8 @@ DIST_MAX = 60.0
 DEFAULT_SLACK = 1e-9
 TIME_POINTS = 100      # flow samples per invariant or progress check
 SIMPSON_POINTS = 200   # Simpson panels of the oracle's distance quadrature
+# Interior Simpson nodes (weight, j); a float j gives the same j * h as an int.
+_SIMPSON_NODES = tuple((4.0 if j % 2 else 2.0, float(j)) for j in range(1, 2 * SIMPSON_POINTS))
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,6 @@ def sample_compliant_state(rng: random.Random, seed: int = 0,
         return StateSample(wp, v, a, p, seed)
 
 
-def _flow(sample: StateSample, t: float):
-    return closed_form_relative(sample.wp.x, sample.wp.y, sample.v, sample.a,
-                                sample.wp.k, t)
-
-
 def check_invariant_preservation(n: int = 10_000, seed: int = 0) -> CheckReport:
     """For n states satisfying J, Feas, and Go, the invariant J must hold at
     every sampled time in [0, T] along the exact flow (comparisons relaxed by
@@ -125,12 +122,11 @@ def check_invariant_preservation(n: int = 10_000, seed: int = 0) -> CheckReport:
     violations = []
     for i in range(n):
         sample = sample_compliant_state(rng, seed=i)
-        T = sample.p.cycle_max
-        for j in range(TIME_POINTS):
-            t = T * j / (TIME_POINTS - 1)
-            x, y, v = _flow(sample, t)
-            wp_t = RelWaypoint(x, y, sample.wp.k, sample.wp.vl, sample.wp.vh)
-            verdict = invariant_j(wp_t, v, sample.p, slack=DEFAULT_SLACK)
+        wp, T = sample.wp, sample.p.cycle_max
+        times = (T * j / (TIME_POINTS - 1) for j in range(TIME_POINTS))
+        for t, x, y, v in closed_form_relative(wp.x, wp.y, sample.v, sample.a, wp.k, times):
+            verdict = invariant_j(RelWaypoint(x, y, wp.k, wp.vl, wp.vh), v, sample.p,
+                                  slack=DEFAULT_SLACK)
             if not verdict.passed:
                 violations.append(Violation(sample, t, f"J fails: {verdict.failed_clause.value}"))
                 break
@@ -189,11 +185,12 @@ def check_progress(case: str, n: int = 1_000, seed: int = 0) -> CheckReport:
             def g(x, y, vt):
                 return x * x + y * y - p.tol * p.tol
 
-        prev = g(*_flow(sample, 0.0))
-        prev_t = 0.0
-        for j in range(1, TIME_POINTS + 1):
-            t = horizon * j / TIME_POINTS
-            value = g(*_flow(sample, t))
+        times = (horizon * j / TIME_POINTS for j in range(TIME_POINTS + 1))
+        flow = closed_form_relative(wp.x, wp.y, v, sample.a, wp.k, times)
+        prev_t, x, y, vt = next(flow)
+        prev = g(x, y, vt)
+        for t, x, y, vt in flow:
+            value = g(x, y, vt)
             if value >= prev:
                 # The goal trough can be narrower than the sampling step.
                 if case == "cruise" and goal_span(wp.x, wp.y, wp.k, v * t, p.tol) is not None:
@@ -218,8 +215,7 @@ def _quadrature_distance(v0: float, a: float, duration: float) -> float:
         return 0.0
     h = duration / (2 * SIMPSON_POINTS)
     total = v0 + (v0 + a * duration)
-    for j in range(1, 2 * SIMPSON_POINTS):
-        w = 4.0 if j % 2 else 2.0
+    for w, j in _SIMPSON_NODES:
         total += w * (v0 + a * (j * h))
     return total * h / 3.0
 

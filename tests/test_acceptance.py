@@ -105,11 +105,11 @@ def _pursue(sample):
         # Fine-grained goal-crossing check within the cycle.
         travel = v * T + abs(a) * T * T / 2.0
         steps = max(1, min(200, int(math.ceil(travel / (0.3 * eps)))))
-        for j in range(1, steps + 1):
-            xt, yt, vt = closed_form_relative(x, y, v, a, k, T * j / steps)
+        times = (T * j / steps for j in range(1, steps + 1))
+        for _, xt, yt, vt in closed_form_relative(x, y, v, a, k, times):
             if math.hypot(xt, yt) <= eps:
                 return vl <= vt <= vh, cycle, budget
-        x, y, v = closed_form_relative(x, y, v, a, k, T)
+        [(_, x, y, v)] = closed_form_relative(x, y, v, a, k, [T])
         dist = math.hypot(x, y)
         assert dist < prev_dist, "pursuit made no progress"
         prev_dist = dist
@@ -149,7 +149,7 @@ def test_criterion_5_radius_conservation():
     x, y, v = 3.0, -1.0, 2.0
     r0 = math.hypot(x, y - cy)
     for _ in range(10_000):
-        x, y, v = closed_form_relative(x, y, v, 0.0, k, dt)
+        [(_, x, y, v)] = closed_form_relative(x, y, v, 0.0, k, [dt])
     assert abs(math.hypot(x, y - cy) - r0) / r0 <= 1e-6
 
 
@@ -162,7 +162,7 @@ def test_criterion_5_rk4_vs_closed_form():
         k = rng.uniform(-1.0, 1.0)
         dt = 1e-3
         arc = v0 * dt + a * dt * dt / 2.0
-        ex, ey, _ = closed_form_relative(x0, y0, v0, a, k, dt)
+        [(_, ex, ey, _)] = closed_form_relative(x0, y0, v0, a, k, [dt])
         rx, ry, _ = step_relative(x0, y0, v0, a, k, dt, substeps=1)
         err = math.hypot(ex - rx, ey - ry)
         assert err <= 1e-8 * max(abs(arc), 1e-9)

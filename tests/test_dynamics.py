@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import struct
 import time
 
 import pytest
@@ -27,29 +29,80 @@ class TestPlantDerivative:
             (0.0, 0.0, 0.7, 1.0)
 
 
+def _bits(values):
+    """The bytes of a tuple of floats: equal only when bit for bit equal,
+    signed zeros and NaNs included."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _min_max_travel(v0, a, t):
+    """The travel formula as it was written with min and max."""
+    td = min(t, v0 / -a) if a < 0.0 else t
+    return max(0.0, v0 + a * td), v0 * td + a * td * td / 2.0
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5, -2.0,
+                  5e-324, -5e-324, 1e308, -1e308)
+
+
 class TestClosedForm:
     def test_straight_line(self):
-        x, y, v = closed_form_relative(5.0, 2.0, v0=1.0, a=0.0, k=0.0, t=2.0)
+        [(_, x, y, v)] = closed_form_relative(5.0, 2.0, v0=1.0, a=0.0, k=0.0, times=[2.0])
         assert (x, y, v) == pytest.approx((3.0, 2.0, 1.0))
 
     def test_quarter_turn(self):
-        x, y, v = closed_form_relative(1.0, 1.0, v0=1.0, a=0.0, k=1.0, t=math.pi / 2.0)
+        [(_, x, y, v)] = closed_form_relative(1.0, 1.0, v0=1.0, a=0.0, k=1.0,
+                                              times=[math.pi / 2.0])
         assert (x, y) == pytest.approx((0.0, 0.0), abs=1e-12)
         assert v == 1.0
 
     def test_stop_event(self):
-        x, y, v = closed_form_relative(5.0, 0.0, v0=2.0, a=-1.0, k=0.0, t=3.0)
+        [(_, x, y, v)] = closed_form_relative(5.0, 0.0, v0=2.0, a=-1.0, k=0.0, times=[3.0])
         assert (x, y, v) == pytest.approx((3.0, 0.0, 0.0))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            closed_form_relative(1.0, 0.0, 1.0, 0.0, 0.0, -0.1)
+            list(closed_form_relative(1.0, 0.0, 1.0, 0.0, 0.0, [-0.1]))
 
     def test_tiny_curvature_matches_straight_line(self):
-        sx, sy, _ = closed_form_relative(40.0, 1e-9, 10.0, 0.0, 0.0, 1.0)
-        cx, cy, _ = closed_form_relative(40.0, 1e-9, 10.0, 0.0, 1e-13, 1.0)
+        [(_, sx, sy, _)] = closed_form_relative(40.0, 1e-9, 10.0, 0.0, 0.0, [1.0])
+        [(_, cx, cy, _)] = closed_form_relative(40.0, 1e-9, 10.0, 0.0, 1e-13, [1.0])
         assert cx == pytest.approx(sx, abs=1e-9)
         assert cy == pytest.approx(sy, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(x=st.floats(-60.0, 60.0), y=st.floats(-60.0, 60.0), v0=st.floats(0.0, 40.0),
+           a=st.floats(-4.0, 4.0),
+           k=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6), st.floats(-2.0, 2.0)),
+           T=st.floats(0.0, 1.0), points=st.integers(1, 100))
+    # Braking to a stop at t = 0.5, inside the grid.
+    @example(x=5.0, y=1.0, v0=1.0, a=-2.0, k=0.5, T=1.0, points=11)
+    # A straight line.
+    @example(x=5.0, y=1.0, v0=3.0, a=1.0, k=0.0, T=1.0, points=100)
+    # |k s| <= 1e-5: the series branch of the arc terms.
+    @example(x=5.0, y=1.0, v0=10.0, a=0.0, k=1e-6, T=1.0, points=100)
+    def test_one_pass_over_a_grid_equals_one_time_calls(self, x, y, v0, a, k, T, points):
+        # The grid starts at t = 0; a negative time after it raises only once
+        # the flow reaches it, after every earlier state was yielded.
+        times = [T * j / max(points - 1, 1) for j in range(points)]
+        grid = []
+        with pytest.raises(ValueError):
+            for state in closed_form_relative(x, y, v0, a, k, times + [-1.0]):
+                grid.append(state)
+        assert [t for t, *_ in grid] == times
+        for t, state in zip(times, grid):
+            [single] = closed_form_relative(x, y, v0, a, k, [t])
+            assert _bits(state) == _bits(single)
+
+    def test_travel_matches_the_min_max_form_on_special_values(self):
+        for v0, a, t in itertools.product(SPECIAL_FLOATS, repeat=3):
+            assert _bits(dynamics._travel(v0, a, t)) == _bits(_min_max_travel(v0, a, t)), \
+                (v0, a, t)
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(v0=st.floats(), a=st.floats(), t=st.floats())
+    def test_travel_matches_the_min_max_form(self, v0, a, t):
+        assert _bits(dynamics._travel(v0, a, t)) == _bits(_min_max_travel(v0, a, t))
 
 
 def test_rk4_matches_closed_form():
@@ -61,7 +114,7 @@ def test_rk4_matches_closed_form():
         k = rng.uniform(-1.0, 1.0)
         dt = 1e-3
         arc = v0 * dt + a * dt * dt / 2.0
-        ex, ey, ve = closed_form_relative(x0, y0, v0, a, k, dt)
+        [(_, ex, ey, ve)] = closed_form_relative(x0, y0, v0, a, k, [dt])
         rx, ry, va = step_relative(x0, y0, v0, a, k, dt, substeps=1)
         err = math.hypot(ex - rx, ey - ry)
         assert err <= 1e-8 * max(abs(arc), 1e-9)
@@ -117,11 +170,15 @@ class TestWorldStep:
             assert math.hypot(x_direct - x_world, y_direct - y_world) <= 1e-6
 
 
+def _arc_distances(x, y, k, sigmas):
+    """Distance from the arc point at each length sigma, in order, to the
+    body-frame point (x, y), read off one pass of the closed-form flow."""
+    return [math.hypot(x1, y1)
+            for _, x1, y1, _ in closed_form_relative(x, y, 1.0, 0.0, k, sigmas)]
+
+
 def _arc_distance(x, y, k, sigma):
-    """Distance from the arc point at length sigma to the body-frame point
-    (x, y), read off the closed-form flow."""
-    x1, y1, _ = closed_form_relative(x, y, 1.0, 0.0, k, sigma)
-    return math.hypot(x1, y1)
+    return _arc_distances(x, y, k, [sigma])[0]
 
 
 class TestGoalIntervals:
@@ -154,8 +211,9 @@ class TestGoalIntervals:
             if hi < s:
                 assert _arc_distance(x, y, k, hi) >= eps - tol
         n = 4000
-        inside = [sigma for sigma in (min(s, s * i / n) for i in range(n + 1))
-                  if _arc_distance(x, y, k, sigma) < eps - tol]
+        sigmas = [min(s, s * i / n) for i in range(n + 1)]
+        inside = [sigma for sigma, d in zip(sigmas, _arc_distances(x, y, k, sigmas))
+                  if d < eps - tol]
         if inside:
             # The first and last samples inside the region lie within the span.
             assert span is not None, inside[0]
@@ -178,7 +236,8 @@ class TestGoalIntervals:
         x, y = d * math.cos(theta), d * math.sin(theta)
         assert goal_span(x, y, k, s, eps) is None
         n = 4000
-        assert all(_arc_distance(x, y, k, min(s, s * i / n)) > eps for i in range(n + 1))
+        sigmas = (min(s, s * i / n) for i in range(n + 1))
+        assert all(d > eps for d in _arc_distances(x, y, k, sigmas))
 
     def test_target_at_the_reach_is_met(self):
         # Straight ahead at exactly s + eps: the arc's last point is on the
@@ -210,6 +269,14 @@ class TestGoalIntervals:
         lo, hi = goal_span(x, y, 0.0, s, eps)
         assert lo < x < hi
         assert not any(lo <= s * i / 20 <= hi for i in range(21))
+
+    @pytest.mark.parametrize("k", [0.5, -0.5])
+    def test_infinite_arc_wraps_to_its_end(self, k):
+        # The arc passes the region on every turn, so the span is its first
+        # entry, the same as on a finite arc, up to the arc's (infinite) end.
+        y = 0.5 if k > 0.0 else -0.5
+        lo, _ = goal_span(1.0, y, k, 100.0, 1.0)
+        assert goal_span(1.0, y, k, math.inf, 1.0) == (lo, math.inf)
 
     def test_whole_arc_inside(self):
         assert goal_span(0.0, 0.5, 2.0, 100.0, 1.0) == (0.0, 100.0)
