@@ -74,17 +74,15 @@ def closed_form_relative(x: float, y: float, v0: float, a: float, k: float, time
     of the iterable times, in order; ValueError on reaching a time below 0.
 
     Speed is linear in time until the v = 0 event; the arc length drives a
-    pure translation (k = 0) or a rotation about (0, 1/k) (k != 0).
+    rotation about (0, 1/k), written as in ``arc_step`` so that k = 0 gives
+    the pure translation x - s with no branch.
     """
     for t in times:
         if t < 0.0:
             raise ValueError(f"closed_form_relative requires t >= 0, got {t!r}")
         v, s = _travel(v0, a, t)
-        if k == 0.0:
-            yield t, x - s, y, v
-        else:
-            c, sn, sinc, hvc = _arc_terms(k * s)
-            yield t, x * c + y * sn - s * sinc, y * c - x * sn + s * hvc, v
+        c, sn, sinc, hvc = _arc_terms(k * s)
+        yield t, x * c + y * sn - s * sinc, y * c - x * sn + s * hvc, v
 
 
 def arc_step(pose: WorldPose, v: float, k: float, a: float, dt: float):

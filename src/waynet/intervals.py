@@ -262,9 +262,6 @@ class Ivl:
         return _ivl(_quot(a, d if a >= 0.0 else c)[0],
                     _quot(b, c if b >= 0.0 else d)[1])
 
-    def square(self):
-        return self * self
-
     def __abs__(self):
         if self.lo >= 0.0:
             return self

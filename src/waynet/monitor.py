@@ -3,9 +3,7 @@ invariant, controller/plant monitors, and the braking fallback.
 
 All comparisons follow the model formulas exactly: the annulus band is
 strict <, the distance clauses are non-strict <=. Clause evaluation order is
-fixed so failure attribution is deterministic. The invariant takes an
-optional ``slack`` that relaxes each of its comparisons by an absolute margin;
-it exists for the numeric invariant-preservation checks and defaults to zero.
+fixed so failure attribution is deterministic.
 
 The controller monitor is written once, over any numbers with the arithmetic
 and ordering operators: ``waynet.intervals`` evaluates it over intervals,
@@ -148,33 +146,32 @@ def go(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
     return FAIL_LOWER_SPEED
 
 
-def invariant_j(wp: RelWaypoint, v: float, p: Params,
-                slack: float = 0.0) -> MonitorVerdict:
+def invariant_j(wp: RelWaypoint, v: float, p: Params) -> MonitorVerdict:
     """Loop invariant: annulus membership, well-formed limits, and both speed
     gaps closable with maximum acceleration / braking in the remaining
     distance, bloated by (1+|k|eps)^2 for the annulus width around a curved path."""
     eps = p.tol
-    if abs(wp.k) * eps > 1.0 + slack:
+    if abs(wp.k) * eps > 1.0:
         return FAIL_ANN_SCALE
-    if not abs(ann_residual(wp.x, wp.y, wp.k, eps)) < eps + slack:
+    if not abs(ann_residual(wp.x, wp.y, wp.k, eps)) < eps:
         return FAIL_ANN_BAND
     vl, vh = wp.vl, wp.vh
-    if not (0.0 - slack <= vl < vh + slack < _INF):
+    if not (0.0 <= vl < vh < _INF):
         return FAIL_LIMITS_ORDER
     gap = vh - vl
-    if not p.accel_max * p.cycle_max <= gap + slack:
+    if not p.accel_max * p.cycle_max <= gap:
         return FAIL_LIMIT_GAP_A
-    if not p.brake_max * p.cycle_max <= gap + slack:
+    if not p.brake_max * p.cycle_max <= gap:
         return FAIL_LIMIT_GAP_B
-    if not vl <= v + slack:
+    if not vl <= v:
         bloat = 1.0 + abs(wp.k) * eps
         if not (bloat * bloat * (vl * vl - v * v) / (2.0 * p.accel_max) + eps
-                <= max(abs(wp.x), abs(wp.y)) + slack):
+                <= max(abs(wp.x), abs(wp.y))):
             return FAIL_LOWER_SPEED
-    if not v <= vh + slack:
+    if not v <= vh:
         bloat = 1.0 + abs(wp.k) * eps
         if not (bloat * bloat * (v * v - vh * vh) / (2.0 * p.brake_max) + eps
-                <= max(abs(wp.x), abs(wp.y)) + slack):
+                <= max(abs(wp.x), abs(wp.y))):
             return FAIL_UPPER_SPEED
     return PASS
 

@@ -20,11 +20,11 @@ def _fail(clause: Clause) -> MonitorVerdict:
     return MonitorVerdict(False, clause)
 
 
-def ann_clause(wp: RelWaypoint, eps: float, slack: float = 0.0) -> Clause:
+def ann_clause(wp: RelWaypoint, eps: float) -> Clause:
     """Annulus membership with failure attribution; Clause.NONE on pass."""
-    if abs(wp.k) * eps > 1.0 + slack:
+    if abs(wp.k) * eps > 1.0:
         return Clause.ANN_SCALE
-    if not abs(ann_residual(wp.x, wp.y, wp.k, eps)) < eps + slack:
+    if not abs(ann_residual(wp.x, wp.y, wp.k, eps)) < eps:
         return Clause.ANN_BAND
     return Clause.NONE
 
@@ -55,12 +55,11 @@ def delta_lim(v1: float, v2: float, acc: float, k: float, eps: float) -> float:
     return bloat * bloat * (v1 * v1 - v2 * v2) / (2.0 * acc)
 
 
-def lim(v1: float, v2: float, acc: float, wp: RelWaypoint, eps: float,
-        slack: float = 0.0) -> bool:
+def lim(v1: float, v2: float, acc: float, wp: RelWaypoint, eps: float) -> bool:
     """True iff acc can close the gap v1 -> v2 before the waypoint arrives."""
-    if v1 <= v2 + slack:
+    if v1 <= v2:
         return True
-    return delta_lim(v1, v2, acc, wp.k, eps) + eps <= inf_norm(wp.x, wp.y) + slack
+    return delta_lim(v1, v2, acc, wp.k, eps) + eps <= inf_norm(wp.x, wp.y)
 
 
 def _go_branch(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool) -> bool:
@@ -107,23 +106,22 @@ def go(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
     return PASS
 
 
-def invariant_j(wp: RelWaypoint, v: float, p: Params,
-                slack: float = 0.0) -> MonitorVerdict:
+def invariant_j(wp: RelWaypoint, v: float, p: Params) -> MonitorVerdict:
     """Loop invariant: annulus membership, well-formed limits, and both speed
     gaps closable with maximum acceleration / braking in the remaining distance."""
-    c = ann_clause(wp, p.tol, slack)
+    c = ann_clause(wp, p.tol)
     if c is not Clause.NONE:
         return _fail(c)
-    if not (0.0 - slack <= wp.vl < wp.vh + slack < _INF):
+    if not (0.0 <= wp.vl < wp.vh < _INF):
         return _fail(Clause.LIMITS_ORDER)
     gap = wp.vh - wp.vl
-    if not p.accel_max * p.cycle_max <= gap + slack:
+    if not p.accel_max * p.cycle_max <= gap:
         return _fail(Clause.LIMIT_GAP_A)
-    if not p.brake_max * p.cycle_max <= gap + slack:
+    if not p.brake_max * p.cycle_max <= gap:
         return _fail(Clause.LIMIT_GAP_B)
-    if not lim(wp.vl, v, p.accel_max, wp, p.tol, slack):
+    if not lim(wp.vl, v, p.accel_max, wp, p.tol):
         return _fail(Clause.LOWER_SPEED)
-    if not lim(v, wp.vh, p.brake_max, wp, p.tol, slack):
+    if not lim(v, wp.vh, p.brake_max, wp, p.tol):
         return _fail(Clause.UPPER_SPEED)
     return PASS
 

@@ -525,3 +525,14 @@ def test_verify_output_is_byte_identical_to_recorded_digest(capsys):
     code, out, _ = run(capsys, *_VERIFY_ARGV)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGEST
+
+
+# perfbench's `verify` workload runs the five checks of `verify all` at
+# `--n 60` and seeds seed*6 + j, 0-17 for its base seeds 0-2, and counts every
+# sample of a call that exits non-zero as failed: each must pass exactly.
+@pytest.mark.parametrize("seed", range(18))
+def test_verify_all_small_batches_pass_exactly(capsys, seed):
+    code, out, _ = run(capsys, "verify", "all", "--n", "60", "--seed", str(seed))
+    assert code == 0, out
+    assert "violation" not in out
+    assert out.count(": 60 samples, ok") == 5

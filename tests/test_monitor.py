@@ -136,10 +136,9 @@ class TestInvariantJ:
         v = invariant_j(wp(0.3, 0.0, 0.0, vl=5.0, vh=6.0), v=0.0, p=P_HALF)
         assert v.failed_clause is Clause.LOWER_SPEED
 
-    def test_slack_absorbs_marginal_band_violation(self):
+    def test_marginal_band_violation_fails_exactly(self):
         boundary = wp(5.0, 1.0 + 5e-10, 0.0)  # residual eps + 5e-10
         assert invariant_j(boundary, v=1.5, p=P).failed_clause is Clause.ANN_BAND
-        assert invariant_j(boundary, v=1.5, p=P, slack=1e-9)
 
 
 class TestPlantMonitor:

@@ -9,8 +9,8 @@ from waynet.verify import (PROGRESS_CASES, CheckReport, check_invariant_preserva
 
 def test_sampler_emits_compliant_states():
     rng = random.Random(3)
-    for i in range(50):
-        s = sample_compliant_state(rng, seed=i)
+    for _ in range(50):
+        s = sample_compliant_state(rng)
         assert feas(s.wp, s.p)
         assert invariant_j(s.wp, s.v, s.p)
         assert go(s.wp, s.v, s.a, s.p)
@@ -19,7 +19,7 @@ def test_sampler_emits_compliant_states():
 
 def test_sampler_without_go_requirement():
     rng = random.Random(4)
-    s = sample_compliant_state(rng, seed=0, require_go=False)
+    s = sample_compliant_state(rng, require_go=False)
     assert s.a == 0.0
     assert invariant_j(s.wp, s.v, s.p)
 
