@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+_INF = math.inf
+
 
 @dataclass(frozen=True)
 class Params:
@@ -28,17 +30,18 @@ class Params:
     tol: float        # epsilon, m
 
     def __post_init__(self):
-        for name in ("accel_max", "brake_max", "cycle_max", "tol"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ValueError(f"Params.{name} must be positive and finite, got {value!r}")
+        # One pass of chained comparisons (NaN fails them); only a failure
+        # looks for the first field at fault.
+        A, B, T, eps = self.accel_max, self.brake_max, self.cycle_max, self.tol
+        if not (0.0 < A < _INF and 0.0 < B < _INF and 0.0 < T < _INF and 0.0 < eps < _INF):
+            for name, value in zip(("accel_max", "brake_max", "cycle_max", "tol"), (A, B, T, eps)):
+                if not 0.0 < value < _INF:
+                    raise ValueError(f"Params.{name} must be positive and finite, got {value!r}")
         # One cycle at full acceleration or braking moves A*T^2/2 or B*T^2/2.
-        T = self.cycle_max
-        for name in ("accel_max", "brake_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value * T * T):
-                raise ValueError(f"Params.{name} * cycle_max**2 must be finite, "
-                                 f"got {name}={value!r}, cycle_max={T!r}")
+        if not (A * T * T < _INF and B * T * T < _INF):
+            name, value = ("brake_max", B) if A * T * T < _INF else ("accel_max", A)
+            raise ValueError(f"Params.{name} * cycle_max**2 must be finite, "
+                             f"got {name}={value!r}, cycle_max={T!r}")
 
 
 @dataclass(slots=True)

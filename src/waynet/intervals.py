@@ -2,8 +2,8 @@
 
 There is one formula: ``interval_eval_controller`` runs
 ``waynet.monitor.controller_monitor`` itself with ``Ivl`` waypoint, speed and
-acceleration and with the four ``Params`` fields as point ``Ivl``s, built once
-per ``Params``.
+acceleration and with a ``Params`` of the four fields as point ``Ivl``s, built
+again only when a call passes another ``Params`` object.
 
 Interval endpoints are floats. Each endpoint is rounded in its own direction
 (``lo`` down, ``hi`` up), and only when the float result is inexact: an
@@ -47,9 +47,8 @@ failure (fail-safe).
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from typing import NamedTuple
+import sys
 
 from waynet.core import Params, RelWaypoint
 from waynet.monitor import Undecided, controller_monitor
@@ -57,6 +56,7 @@ from waynet.monitor import Undecided, controller_monitor
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _TINY = 2.0 ** -960   # below this a product's rounding error may not be a float
 _HUGE = 2.0 ** 960    # above this the split may overflow
+_LARGEST = sys.float_info.max
 
 
 class IntervalVerdict(enum.Enum):
@@ -135,7 +135,8 @@ def _ivl(lo: float, hi: float) -> Ivl:
 class Ivl:
     """Closed interval [lo, hi] with float endpoints, neither of them NaN.
 
-    Endpoints that are not floats (ints, Fractions) round outward."""
+    Endpoints that are not floats (ints, Fractions) round outward; a real
+    beyond the largest float converts to the infinity of its sign first."""
 
     __slots__ = ("lo", "hi")
 
@@ -145,7 +146,8 @@ class Ivl:
                 self.lo = self.hi = lo
                 return
             hi = lo
-        flo, fhi = float(lo), float(hi)
+        flo = -math.inf if lo < -_LARGEST else math.inf if lo > _LARGEST else float(lo)
+        fhi = -math.inf if hi < -_LARGEST else math.inf if hi > _LARGEST else float(hi)
         if flo > lo:
             flo = math.nextafter(flo, -math.inf)
         if fhi < hi:
@@ -302,26 +304,22 @@ class Ivl:
         raise Undecided
 
 
-class _PointParams(NamedTuple):
-    """The ``Params`` fields as point intervals, for the monitor formula."""
-
-    accel_max: Ivl
-    brake_max: Ivl
-    cycle_max: Ivl
-    tol: Ivl
-
-
-@functools.lru_cache(maxsize=8)
-def _point_params(p: Params) -> _PointParams:
-    return _PointParams(Ivl(p.accel_max), Ivl(p.brake_max), Ivl(p.cycle_max), Ivl(p.tol))
+# The last ``Params`` and its copy of point intervals, keyed by identity: a
+# frozen ``Params`` cannot change under the cache, and holding it keeps its id.
+_last_params = (None, None)
 
 
 def interval_eval_controller(x: Ivl, y: Ivl, k: Ivl, vl: Ivl, vh: Ivl,
                              v: Ivl, a: Ivl, p: Params) -> IntervalVerdict:
     """Evaluate the controller monitor (feasibility and admissibility) over a
     box of states; conservative in the fail-safe direction."""
+    global _last_params
+    last, pp = _last_params
     try:
-        verdict = controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, _point_params(p))
+        if last is not p:
+            pp = Params(Ivl(p.accel_max), Ivl(p.brake_max), Ivl(p.cycle_max), Ivl(p.tol))
+            _last_params = (p, pp)
+        verdict = controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, pp)
     except (Undecided, ZeroDivideInterval, NaNInterval):
         return UNKNOWN
     return DEFINITELY_TRUE if verdict.passed else DEFINITELY_FALSE

@@ -536,3 +536,36 @@ def test_verify_all_small_batches_pass_exactly(capsys, seed):
     assert code == 0, out
     assert "violation" not in out
     assert out.count(": 60 samples, ok") == 5
+
+
+# sha256 of the stdout of `verify all --n 60 --seed s` for s = 0-17, the
+# perfbench `verify` batches, recorded at commit 7d33f05. Each pins the
+# progress checks' minimum decrease rates, which the exit code does not see.
+_VERIFY_SMALL_DIGESTS = (
+    "1bd0dae69774e4b586112bbf9895cb0ac9abe16007fffab4ba252257dcde31e3",  # seed 0
+    "33a5a5d0dd53aa14c4828a700f5701aa1d52822f0b20c7b7247ae19afa9f28fe",  # seed 1
+    "d880bbd6571059cac1c6165499b7c632b56c227db6f97079fdec93eccc4d04b2",  # seed 2
+    "56d41acc5f6cbd40a509d49f8ee9b9ff44010729de2753736603d2a04f00dc26",  # seed 3
+    "06cbc6a971d28e4e2817fe626f71bf69ad79d4422f22b289d81f0f58c582e801",  # seed 4
+    "854290c693e98db054fe7a761da54ec1bfc88caa4c1dd792227ceb997d5a5eb2",  # seed 5
+    "4cac2280776218161fde26c1d7b81867316f3686b4db19d087d6d9d8355cb10d",  # seed 6
+    "fa640cfdd7e5c31aade5738cdd978470b2fdf4cbe7f788f2aa2f2c881ac98a2d",  # seed 7
+    "41fdeef5e4697eec7e54dc9273adc78de5a0220b9ba635e72d195b498274036f",  # seed 8
+    "af29f0b1f269bb3cb26ad3a98fdcb38f28307077bebf52d2d4ee72778ce990bb",  # seed 9
+    "33e9ece32f062f7bce7a75e7f8e0b7db8955891505427c016a503443431f60a8",  # seed 10
+    "84959af282a2a953dab00317ea5fbf1df2250117472eba44f458c82abdb3a0b8",  # seed 11
+    "dbde1bff57e6f1a50f159afafe34c492af93ae0cddab449935c70c70fd113da7",  # seed 12
+    "89452b388521462955b47826a9f507d6aa914fff6f6fbcd2b1bac7d55c5b5764",  # seed 13
+    "d8491d3f589105018106f94462b1354dcb3b72dc156c52abdefab18fd80cd43b",  # seed 14
+    "6a77d3699de920a1df6ededb82eb220c0dd4a21ebced007e7c42e5f5f51821d8",  # seed 15
+    "a3f6d8100bf4ba4c5ae253fe97f5340d4a807bfb2d181ee1077be9254166745a",  # seed 16
+    "ae9f44245cc3bcc0716fdcdd21afe01f861d62d72820e88c102fabfa49570027",  # seed 17
+)
+
+
+def test_verify_outputs_are_byte_identical_to_recorded_digests(capsys):
+    digests = []
+    for seed in range(18):
+        _, out, _ = run(capsys, "verify", "all", "--n", "60", "--seed", str(seed))
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == _VERIFY_SMALL_DIGESTS

@@ -25,20 +25,52 @@ def test_norm_sandwich(x, y):
 
 
 @pytest.mark.parametrize("field", ["accel_max", "brake_max", "cycle_max", "tol"])
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf, -0.0, -5e-324])
 def test_params_rejects_non_positive(field, bad):
     kwargs = dict(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=1.0)
     kwargs[field] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         Params(**kwargs)
+    assert str(err.value) == f"Params.{field} must be positive and finite, got {bad!r}"
 
 
 @pytest.mark.parametrize("field", ["accel_max", "brake_max"])
 def test_params_rejects_overflowing_one_cycle_terms(field):
     kwargs = dict(accel_max=1.0, brake_max=1.0, cycle_max=1e154, tol=1.0)
-    with pytest.raises(ValueError, match=f"Params.{field} \\* cycle_max"):
+    with pytest.raises(ValueError) as err:
         Params(**{**kwargs, field: 1e10})
+    assert str(err.value) == (f"Params.{field} * cycle_max**2 must be finite, "
+                              f"got {field}=10000000000.0, cycle_max=1e+154")
     Params(**kwargs)  # 1e308: still finite
+
+
+# Several faults at once: the message names the first field at fault, every
+# field's own check before either product's.
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("args, message", [
+    ((_NAN, 0.0, -1.0, _INF), "Params.accel_max must be positive and finite, got nan"),
+    ((1.0, -_INF, _NAN, 0.0), "Params.brake_max must be positive and finite, got -inf"),
+    ((1.0, 1.0, _INF, -2.0), "Params.cycle_max must be positive and finite, got inf"),
+    ((1e300, 1e300, 1e10, _NAN), "Params.tol must be positive and finite, got nan"),
+    ((1e300, 1e300, 1e10, 1.0),
+     "Params.accel_max * cycle_max**2 must be finite, got accel_max=1e+300, cycle_max=10000000000.0"),
+    ((1.0, 1e300, 1e10, 1.0),
+     "Params.brake_max * cycle_max**2 must be finite, got brake_max=1e+300, cycle_max=10000000000.0"),
+])
+def test_params_names_the_first_field_at_fault(args, message):
+    with pytest.raises(ValueError) as err:
+        Params(*args)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("args", [(5e-324, 5e-324, 5e-324, 5e-324), (1e-300, 1.0, 1e-20, 1e-300),
+                                  (1.0, 1e-200, 1e-100, 1.0)])
+def test_params_accepts_tiny_values_whose_one_cycle_terms_underflow(args):
+    A, B, T, _ = args
+    assert min(A * T * T, B * T * T) == 0.0
+    assert (Params(*args).accel_max, Params(*args).brake_max) == (A, B)
 
 
 def test_normalize_angle_range():

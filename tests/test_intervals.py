@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from waynet import intervals
 from waynet.core import Params, RelWaypoint
 from waynet.intervals import (IntervalVerdict, Ivl, NaNInterval, ZeroDivideInterval,
                               interval_eval_controller)
@@ -241,6 +242,15 @@ class TestIvl:
         tiny = Ivl(1e-200) * Ivl(1e-200)
         assert tiny.lo < 0.0 < tiny.hi
 
+    @pytest.mark.parametrize("big", [10 ** 400, Fraction(10 ** 400, 3)])
+    def test_reals_beyond_the_floats_round_to_an_infinity(self, big):
+        up = (_LARGEST, math.inf)
+        assert (Ivl(big).lo, Ivl(big).hi) == up
+        assert (Ivl(-big).lo, Ivl(-big).hi) == (-math.inf, -_LARGEST)
+        assert (Ivl(0.0, big).lo, Ivl(0.0, big).hi) == (0.0, math.inf)
+        s = Ivl(1.0) + big
+        assert (s.lo, s.hi) == up
+
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             Ivl(2.0, 1.0)
@@ -344,6 +354,30 @@ def _random_state(rng):
     return (rng.uniform(-2.0, 15.0), rng.uniform(-3.0, 3.0),
             rng.uniform(-2.5, 2.5), rng.uniform(-0.5, 3.0), rng.uniform(-0.5, 4.0),
             rng.uniform(-0.5, 6.0), rng.uniform(-2.0, 2.0))
+
+
+def test_alternating_params_each_get_their_own_point_params_and_verdicts(monkeypatch):
+    # 2 m/s above the upper limit, 24 m from the waypoint: a 0.5 s cycle at
+    # A = B = 1 needs 23.5 m to restore the limit, a 2 s cycle at A = B = 4 25 m.
+    p, q = P, Params(accel_max=4.0, brake_max=4.0, cycle_max=2.0, tol=0.5)
+    state = (24.0, 0.0, 0.0, 0.0, 8.0, 10.0, 0.0)
+    expected = {id(params): controller_monitor(RelWaypoint(*state[:5]), 10.0, 0.0, params).passed
+                for params in (p, q)}
+    assert list(expected.values()) == [True, False]
+    seen = []
+
+    def recording(wp, v, a, point_p):
+        seen.append(point_p)
+        return controller_monitor(wp, v, a, point_p)
+
+    monkeypatch.setattr(intervals, "controller_monitor", recording)
+    for params in (p, q, p, q, p):
+        verdict = interval_eval_controller(*degenerate(*state), params)
+        assert verdict is (IntervalVerdict.DEFINITELY_TRUE if expected[id(params)]
+                           else IntervalVerdict.DEFINITELY_FALSE)
+        fields = ("accel_max", "brake_max", "cycle_max", "tol")
+        assert [(getattr(seen[-1], f).lo, getattr(seen[-1], f).hi) for f in fields] == [
+            (getattr(params, f), getattr(params, f)) for f in fields]
 
 
 def test_degenerate_boxes_agree_with_point_monitor():

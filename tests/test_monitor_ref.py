@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from waynet import harness, intervals, monitor
 from waynet.core import Params, RelWaypoint
-from waynet.intervals import Ivl, NaNInterval, ZeroDivideInterval, _point_params
+from waynet.intervals import Ivl, NaNInterval, ZeroDivideInterval
 from waynet.monitor import Undecided
 from waynet.plan import curvature_through
 
@@ -109,8 +109,9 @@ def test_tied_states_fail_the_same_clause(state, kind):
 
 
 def _box_outcome(formula, box, p):
+    point_p = Params(Ivl(p.accel_max), Ivl(p.brake_max), Ivl(p.cycle_max), Ivl(p.tol))
     try:
-        return formula(RelWaypoint(*box[:5]), box[5], box[6], _point_params(p)).failed_clause
+        return formula(RelWaypoint(*box[:5]), box[5], box[6], point_p).failed_clause
     except (Undecided, ZeroDivideInterval, NaNInterval) as exc:
         return type(exc)
 

@@ -1,10 +1,15 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from waynet.monitor import feas, go, invariant_j
-from waynet.verify import (PROGRESS_CASES, CheckReport, check_invariant_preservation,
-                           check_progress, go_oracle, sample_compliant_state)
+from waynet import verify
+from waynet.monitor import FAIL_UPPER_SPEED, PASS, feas, go, invariant_j
+from waynet.verify import (PROGRESS_CASES, CheckReport, _quadrature_distance,
+                           check_invariant_preservation, check_progress, go_oracle,
+                           sample_compliant_state)
 
 
 def test_sampler_emits_compliant_states():
@@ -60,6 +65,50 @@ def test_go_oracle_small():
     report = go_oracle(n=300, seed=5)
     assert report.ok, str(report)
     assert report.checked == 300
+
+
+# The oracle's speeds, accelerations and durations, kept away from the
+# subnormals, where a rounding error is no longer relative to its result.
+_SPEED = st.just(0.0) | st.floats(1e-3, 50.0)
+_ACCEL = st.just(0.0) | st.floats(1e-3, 5.0) | st.floats(-5.0, -1e-3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_SPEED, _ACCEL, st.floats(1e-3, 20.0))
+def test_quadrature_distance_is_the_exact_integral_to_a_few_ulps(v0, a, d):
+    assume(Fraction(v0) + Fraction(a) * Fraction(d) >= 0)  # speed stays non-negative
+    exact = Fraction(v0) * Fraction(d) + Fraction(a) * Fraction(d) ** 2 / 2
+    assert abs(Fraction(_quadrature_distance(v0, a, d)) - exact) <= 4 * Fraction(
+        math.ulp(float(exact)))
+
+
+@pytest.mark.parametrize("d", [0.0, -0.0, -1.0, -math.inf])
+def test_quadrature_distance_is_zero_without_duration(d):
+    assert _quadrature_distance(12.0, 3.0, d) == 0.0
+
+
+def _go_without(term):
+    """``go`` on the oracle's states, where the speed ends the cycle above the
+    upper limit on a straight line, so only the upper clause decides; with one
+    term of that clause's distance dropped, or none, where it must agree with
+    ``go``."""
+    def planted(wp, v, a, p):
+        T = p.cycle_max
+        v_end = v + a * T
+        assert -p.brake_max <= a <= p.accel_max and v_end > wp.vh and wp.k == 0.0
+        gap_term = (v_end * v_end - wp.vh * wp.vh) / (2.0 * p.brake_max)
+        travel = v * T if term == "a*T*T/2" else v * T + a * T * T * 0.5
+        need = travel + gap_term if term == "eps" else travel + gap_term + p.tol
+        verdict = PASS if need <= abs(wp.x) or need <= abs(wp.y) else FAIL_UPPER_SPEED
+        assert term or verdict is go(wp, v, a, p)
+        return verdict
+    return planted
+
+
+@pytest.mark.parametrize("term, found", [(None, 0), ("eps", 37), ("a*T*T/2", 2)])
+def test_go_oracle_catches_a_go_without_a_term(monkeypatch, term, found):
+    monkeypatch.setattr(verify, "go", _go_without(term))
+    assert len(go_oracle(1000, 0).violations) == found
 
 
 def test_check_report_str_reports_violations():
