@@ -3,8 +3,9 @@
 Values built every cycle are slotted, not frozen, dataclasses: a frozen
 ``__init__`` sets each field through ``object.__setattr__``. They still compare
 by value, which the harness's stuck rule needs; no code hashes them, and none
-sets a field after construction. ``WorldPose`` derives its heading's cosine
-and sine at construction, as fields left out of ``==`` and ``repr``.
+sets a field after construction. ``WorldPose`` wraps its heading and derives
+its cosine and sine in its own ``__init__``, one body that calls only the
+math functions; the cosine and sine are fields left out of ``==`` and ``repr``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 _INF = math.inf
+_PI, _TWO_PI = math.pi, 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,6 @@ class RelWaypoint:
     vh: float  # m/s, upper speed limit at the waypoint
 
 
-def normalize_angle(psi: float) -> float:
-    """Wrap an angle to (-pi, pi], ties mapping to +pi."""
-    wrapped = math.fmod(psi, 2.0 * math.pi)
-    if wrapped > math.pi:
-        wrapped -= 2.0 * math.pi
-    elif wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
-
-
 @dataclass(slots=True)
 class WorldPose:
     """World-frame pose backing the body-frame view. Heading normalized to
@@ -80,8 +72,14 @@ class WorldPose:
     cos: float = field(init=False, repr=False, compare=False)
     sin: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.heading = heading = normalize_angle(self.heading)
+    def __init__(self, x: float, y: float, heading: float):
+        # Wrap to (-pi, pi], ties mapping to +pi; math.fmod raises on inf.
+        heading = math.fmod(heading, _TWO_PI)
+        if heading > _PI:
+            heading -= _TWO_PI
+        elif heading <= -_PI:
+            heading += _TWO_PI
+        self.x, self.y, self.heading = x, y, heading
         self.cos, self.sin = math.cos(heading), math.sin(heading)
 
 

@@ -152,10 +152,11 @@ def format_log(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _gate(wp: RelWaypoint, v: float, a: float, p: Params,
-          interval_mode: bool) -> MonitorVerdict:
+def _gate(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
+    """The ``--interval-mode`` gate: a pass of the controller monitor must also
+    be certified by the interval evaluation; point mode calls the monitor alone."""
     verdict = controller_monitor(wp, v, a, p)
-    if interval_mode and verdict.passed:
+    if verdict.passed:
         iv = interval_eval_controller(Ivl(wp.x), Ivl(wp.y), Ivl(wp.k),
                                       Ivl(wp.vl), Ivl(wp.vh), Ivl(v), Ivl(a), p)
         if iv is not DEFINITELY_TRUE:
@@ -242,7 +243,8 @@ def run_episode(cfg: EpisodeConfig):
             fallback = True
             pending_fallback = False
         else:
-            ctrl_verdict = _gate(wp_decl, v, a_prop, p, interval_mode)
+            ctrl_verdict = (_gate(wp_decl, v, a_prop, p) if interval_mode
+                            else controller_monitor(wp_decl, v, a_prop, p))
             fallback = not ctrl_verdict.passed
             if fallback:
                 ctrl_failures += 1
@@ -267,10 +269,11 @@ def run_episode(cfg: EpisodeConfig):
         span = goal_span(wp_seg.x, wp_seg.y, k_act, s, eps)
         if span is not None:
             reached_hint = True
-            speeds = [math.sqrt(max(0.0, v * v + 2.0 * a_act * sigma)) for sigma in span]
-            if max(speeds) > wp_seg.vh:
+            v_in = math.sqrt(max(0.0, v * v + 2.0 * a_act * span[0]))
+            v_out = math.sqrt(max(0.0, v * v + 2.0 * a_act * span[1]))
+            if v_in > wp_seg.vh or v_out > wp_seg.vh:
                 safety_violations += 1
-            if min(speeds) < wp_seg.vl:
+            if v_in < wp_seg.vl or v_out < wp_seg.vl:
                 below_vl_at_goal += 1
         elapsed_total += dt
 

@@ -30,6 +30,7 @@ from waynet.core import Params, RelWaypoint, WorldPose
 from waynet.dynamics import to_relative
 
 CO_CIRCULAR_RTOL = 1e-6
+_TWO_PI, _HALF_PI = 2.0 * math.pi, math.pi / 2.0
 
 
 class PlanError(ValueError):
@@ -106,7 +107,10 @@ class PlanGraph:
                 raise PlanError(f"edge {name}: non-finite curvature")
             a, b = self.nodes[e.frm], self.nodes[e.to]
             ux, uy = b.x - a.x, b.y - a.y
-            chord = math.hypot(ux, uy)
+            chord, chord2 = math.hypot(ux, uy), ux * ux + uy * uy
+            if not chord2 < math.inf:
+                raise PlanError(f"edge {name}: its squared length overflows floats "
+                                f"(the nodes are {chord:g} m apart)")
             geom = None
             if e.kind == "arc":
                 if e.k == 0.0:
@@ -127,8 +131,7 @@ class PlanGraph:
                 raise PlanError(f"edge {name}: unknown kind {e.kind!r}")
             elif e.frm == self.start and chord == 0.0:
                 raise PlanError(f"start edge {name}: a line of zero length gives no start heading")
-            segments.append(Segment(a, b, e.k if geom is not None else 0.0, geom,
-                                    chord, ux * ux + uy * uy))
+            segments.append(Segment(a, b, e.k if geom is not None else 0.0, geom, chord, chord2))
             successors.setdefault(e.frm, []).append(i)
         if self.start not in successors:
             raise PlanError(f"start node {self.start!r} has no outgoing edges")
@@ -269,25 +272,6 @@ class Segment:
             return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
         return arc_point(self.geom, frac)
 
-    def fraction(self, pose: WorldPose) -> float:
-        """Fraction of the robot's projection onto the segment, clamped to
-        [0, 1]; angular along arcs."""
-        geom = self.geom
-        if geom is None:
-            a, b = self.a, self.b
-            if self.chord2 == 0.0:
-                return 1.0
-            t = ((pose.x - a.x) * (b.x - a.x) + (pose.y - a.y) * (b.y - a.y)) / self.chord2
-            return min(1.0, max(0.0, t))
-        theta = math.atan2(pose.y - geom.cy, pose.x - geom.cx)
-        delta = theta - geom.theta0
-        # Bring the offset into the turn direction's principal range.
-        delta = math.remainder(delta, 2.0 * math.pi)
-        frac = delta / geom.sweep
-        if frac < 0.0:
-            return 0.0
-        return min(1.0, frac)
-
 
 # ---------------------------------------------------------------------------
 # Active target extraction
@@ -363,30 +347,47 @@ def target_for_edge(graph: PlanGraph, edge_index: int, pose: WorldPose,
     a margin of 1/16 of the remainder past the exact cut where the remainder
     enters x > 0, capped at the end node; else the end node."""
     seg = graph.segments[edge_index]
-    here = seg.fraction(pose)
     geom = seg.geom
+    # The robot's projection, clamped to [0, 1] (angular along arcs), and the
+    # look-ahead point, in one body: the common path makes no method call, and
+    # comparisons stand in for min/max with their results, NaN and -0.0 too.
     if geom is None:
-        frac = min(1.0, here + lookahead / seg.chord) if seg.chord > 0.0 else 1.0
+        ax, ay, ux, uy = seg.a.x, seg.a.y, seg.b.x - seg.a.x, seg.b.y - seg.a.y
+        if seg.chord2 == 0.0:
+            here = 1.0
+        else:
+            here = ((pose.x - ax) * ux + (pose.y - ay) * uy) / seg.chord2
+            here = (here if here < 1.0 else 1.0) if here > 0.0 else 0.0
+        frac = here + lookahead / seg.chord if seg.chord > 0.0 else 1.0
+        frac = frac if frac < 1.0 else 1.0
+        target = (ax + frac * ux, ay + frac * uy)
     else:
-        frac = min(1.0, here + min(math.pi / 2.0, lookahead / geom.radius) / abs(geom.sweep))
-    target = seg.point(frac)
+        cx, cy, radius, sweep = geom.cx, geom.cy, geom.radius, geom.sweep
+        here = math.remainder(math.atan2(pose.y - cy, pose.x - cx) - geom.theta0,
+                              _TWO_PI) / sweep
+        here = 0.0 if here < 0.0 else (here if here < 1.0 else 1.0)
+        turn = lookahead / radius
+        frac = here + (turn if turn < _HALF_PI else _HALF_PI) / abs(sweep)
+        frac = frac if frac < 1.0 else 1.0
+        theta = geom.theta0 + frac * sweep
+        target = (cx + radius * math.cos(theta), cy + radius * math.sin(theta))
     rel = to_relative(pose, target)
     if rel[0] <= 0.0:
         # The remainder is ahead between the fractions enter and leave.
         c, s = pose.cos, pose.sin
         if geom is None:  # x is linear in the fraction
-            dx = c * (seg.b.x - seg.a.x) + s * (seg.b.y - seg.a.y)
+            dx = c * ux + s * uy
             zero = frac - rel[0] / dx if dx != 0.0 else -math.inf
             enter, leave = (zero, math.inf) if dx > 0.0 else (here, zero)
         else:  # x = r (cos(theta - heading) - ratio) at angle theta on the circle
-            ratio = (c * (pose.x - geom.cx) + s * (pose.y - geom.cy)) / geom.radius
+            ratio = (c * (pose.x - cx) + s * (pose.y - cy)) / radius
             half = math.acos(min(1.0, max(-1.0, ratio)))
-            u = math.remainder(math.copysign(1.0, geom.sweep)
-                               * (geom.theta0 + here * geom.sweep - pose.heading), 2.0 * math.pi)
+            u = math.remainder(math.copysign(1.0, sweep)
+                               * (geom.theta0 + here * sweep - pose.heading), _TWO_PI)
             if u >= half:  # past this window: the next is a turn further on
-                u -= 2.0 * math.pi
-            enter = here + max(0.0, -half - u) / abs(geom.sweep)
-            leave = here + (half - u) / abs(geom.sweep)
+                u -= _TWO_PI
+            enter = here + max(0.0, -half - u) / abs(sweep)
+            leave = here + (half - u) / abs(sweep)
         cut = min(1.0, enter + (1.0 - here) / 16.0) if enter < leave else 1.0
         if cut != frac:  # else rel already holds
             frac, target = cut, seg.point(cut)

@@ -153,6 +153,14 @@ _CONSTRUCTION_ERRORS = {
                           "start edge 'a'->'b': a line of zero length gives no start heading"),
     "start without edge": (_AB + "edge b a line\nstart a\n",
                            "start node 'a' has no outgoing edges"),
+    "line too long for floats": ("node a 0 0 1 5\nnode b 1e160 0 1 5\nedge a b line\n"
+                                 "start a\nterminal b\n",
+                                 "edge 'a'->'b': its squared length overflows floats "
+                                 "(the nodes are 1e+160 m apart)"),
+    "arc too long for floats": ("node a 0 0 1 5\nnode b 0 -1e160 1 5\nedge a b arc 1e-160\n"
+                                "start a\n",
+                                "edge 'a'->'b': its squared length overflows floats "
+                                "(the nodes are 1e+160 m apart)"),
 }
 
 
@@ -165,6 +173,19 @@ def test_each_plan_construction_error_exits_2(tmp_path, capsys, fault):
     bad = tmp_path / "bad.plan"
     bad.write_text(text)
     assert run(capsys, "check-plan", str(bad)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("x", ["1e160", "1e308"])
+def test_simulate_plan_too_long_for_floats_exits_2_before_any_episode(tmp_path, capsys, x):
+    # The line's squared length overflows: its projection would always read 0.
+    plan = tmp_path / "far.plan"
+    plan.write_text(f"node a -{x} 0 1 5\nnode b {x} 0 1 5\nedge a b line\nstart a\nterminal b\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "simulate", "--plan", str(plan), "--controller", "pd1",
+                         "--episodes", "1", "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: edge 'a'->'b': its squared length overflows floats")
+    assert not out_dir.exists()
 
 
 def test_check_plan_repeated_start_exits_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from waynet.core import Params, RelWaypoint, WorldPose, inf_norm, normalize_angle
+from waynet.core import Params, RelWaypoint, WorldPose, inf_norm
 from waynet.dynamics import arc_step
 from waynet.plan import ActiveTarget
 
@@ -73,6 +73,17 @@ def test_params_accepts_tiny_values_whose_one_cycle_terms_underflow(args):
     assert (Params(*args).accel_max, Params(*args).brake_max) == (A, B)
 
 
+def normalize_angle(psi: float) -> float:
+    """Wrap an angle to (-pi, pi], ties mapping to +pi: the oracle for the
+    wrap that ``WorldPose.__init__`` does in its own body."""
+    wrapped = math.fmod(psi, 2.0 * math.pi)
+    if wrapped > math.pi:
+        wrapped -= 2.0 * math.pi
+    elif wrapped <= -math.pi:
+        wrapped += 2.0 * math.pi
+    return wrapped
+
+
 def test_normalize_angle_range():
     assert normalize_angle(0.0) == 0.0
     assert normalize_angle(math.pi) == pytest.approx(math.pi)
@@ -94,13 +105,22 @@ def test_world_pose_normalizes_heading():
     assert WorldPose(0.0, 0.0, 3.0 * math.pi).heading == pytest.approx(math.pi)
 
 
-@pytest.mark.parametrize("heading", [0.0, -0.0, math.pi, -math.pi, 7.0 * math.pi,
-                                     -7.0 * math.pi, 1e6])
+@pytest.mark.parametrize("heading", [
+    0.0, -0.0, math.pi, -math.pi, 7.0 * math.pi, -7.0 * math.pi, 1e6,
+    math.nextafter(math.pi, math.inf), math.nextafter(math.pi, -math.inf),
+    -math.nextafter(math.pi, math.inf), -math.nextafter(math.pi, -math.inf),
+    2.0 * math.pi, -2.0 * math.pi, 5e-324, math.nan])
 def test_world_pose_trig_is_that_of_its_normalized_heading(heading):
     pose = WorldPose(1.0, -2.0, heading)
     assert pose.heading.hex() == normalize_angle(heading).hex()
     assert pose.cos.hex() == math.cos(pose.heading).hex()
     assert pose.sin.hex() == math.sin(pose.heading).hex()
+
+
+@pytest.mark.parametrize("heading", [math.inf, -math.inf])
+def test_world_pose_rejects_an_infinite_heading(heading):
+    with pytest.raises(ValueError):
+        WorldPose(0.0, 0.0, heading)
 
 
 def test_world_pose_trig_takes_no_part_in_eq_or_repr():

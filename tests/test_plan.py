@@ -7,10 +7,12 @@ import waynet.plan
 from waynet.core import Params, WorldPose
 from waynet.dynamics import to_relative
 from waynet.plan import (ActiveTarget, CO_CIRCULAR_RTOL, DEFAULT_SCALES, DeadEnd, Edge,
-                         ENVIRONMENTS, Node, PlanError, PlanGraph, arc_geometry, arc_heading,
-                         arc_point, curvature_through, deterministic_first, gen_environment,
-                         initial_state, next_target, parse_plan, seeded_random, serialize,
-                         target_for_edge)
+                         ENVIRONMENTS, Node, PlanError, PlanGraph, _lookahead, arc_geometry,
+                         arc_heading, arc_point, curvature_through, deterministic_first,
+                         gen_environment, initial_state, next_target, parse_plan,
+                         seeded_random, serialize, target_for_edge)
+
+import plan_ref
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
 
@@ -147,10 +149,10 @@ class TestCompiledPlan:
 
     def test_fraction_clamps_to_segment(self):
         line, arc = parse_plan(SIMPLE).segments
-        assert line.fraction(WorldPose(2.5, 3.0, 0.0)) == 0.25
-        assert line.fraction(WorldPose(-4.0, 0.0, 0.0)) == 0.0
-        assert line.fraction(WorldPose(14.0, 0.0, 0.0)) == 1.0
-        assert arc.fraction(WorldPose(*arc.point(0.5), 0.0)) == pytest.approx(0.5)
+        assert plan_ref.fraction(line, WorldPose(2.5, 3.0, 0.0)) == 0.25
+        assert plan_ref.fraction(line, WorldPose(-4.0, 0.0, 0.0)) == 0.0
+        assert plan_ref.fraction(line, WorldPose(14.0, 0.0, 0.0)) == 1.0
+        assert plan_ref.fraction(arc, WorldPose(*arc.point(0.5), 0.0)) == pytest.approx(0.5)
 
     def test_successor_table(self):
         g = parse_plan("node a 0 0 0 1\nnode b 5 0 0 1\nnode c 5 5 0 1\nstart a\n"
@@ -297,7 +299,7 @@ class TestTargets:
         g = parse_plan("node a 0 0 1 5\nnode b 20 0 1 5\nstart a\nedge a b arc 0.1\n")
         seg = g.segments[0]
         pose = WorldPose(1.0, -2.0, 0.9)
-        here = seg.fraction(pose)
+        here = plan_ref.fraction(seg, pose)
         t = target_for_edge(g, 0, pose, 2.0)
         capped = here + 2.0 / 10.0 / math.pi
         assert to_relative(pose, seg.point(capped))[0] <= 0.0
@@ -399,6 +401,63 @@ class TestTargets:
                                  (1, WorldPose(10.5, 0.2, 0.3))):
             t = target_for_edge(g, edge_index, pose, 1.0)
             assert (t.waypoint.x, t.waypoint.y) == to_relative(pose, t.target_world)
+
+
+@st.composite
+def _extraction_cases(draw):
+    """A plan of one segment a -> b (a line, or a minor arc turning left or
+    right) and a line back, and a pose anywhere within 1.5 chords of the
+    segment's midpoint at any heading, turned-around ones included."""
+    ax, ay = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+    chord = draw(st.floats(0.5, 100.0))
+    angle = draw(st.floats(-math.pi, math.pi))
+    bx, by = ax + chord * math.cos(angle), ay + chord * math.sin(angle)
+    vl = draw(st.floats(0.0, 10.0))
+    vh = vl + draw(st.floats(0.5, 10.0))
+    nodes = {"a": Node("a", ax, ay, vl, vh), "b": Node("b", bx, by, vl, vh)}
+    turn = draw(st.sampled_from([0.0, 1.0, -1.0]))
+    edge = (Edge("a", "b", "line") if turn == 0.0 else
+            Edge("a", "b", "arc", turn * draw(st.floats(0.05, 1.0)) * 2.0 / chord))
+    graph = PlanGraph(nodes=nodes, edges=(edge, Edge("b", "a", "line")), start="a",
+                      terminals=frozenset())
+    ox, oy = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+    pose = WorldPose((ax + bx) / 2.0 + ox * chord, (ay + by) / 2.0 + oy * chord,
+                     draw(st.floats(-math.pi, math.pi)))
+    return graph, pose
+
+
+def _bits(t: ActiveTarget):
+    wp = t.waypoint
+    return (t.edge_index, t.frac.hex(), tuple(c.hex() for c in t.target_world),
+            tuple(c.hex() for c in (wp.x, wp.y, wp.k, wp.vl, wp.vh)))
+
+
+class TestExtractionOracle:
+    """The one-body extraction against its composed form in ``plan_ref``."""
+
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    @given(_extraction_cases(), st.one_of(st.floats(0.0, 200.0), st.just(math.inf)))
+    def test_target_for_edge_matches_the_composed_oracle(self, case, lookahead):
+        graph, pose = case
+        for edge_index in (0, 1):
+            assert (_bits(target_for_edge(graph, edge_index, pose, lookahead))
+                    == _bits(plan_ref.target_for_edge(graph, edge_index, pose, lookahead)))
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(_extraction_cases(), st.floats(0.0, 3.0), st.booleans())
+    def test_next_target_and_initial_state_match_the_composed_oracle(self, case, speed,
+                                                                       hint):
+        # Speeds from a standstill to 3 vh: below vl, inside and above vh.
+        graph, pose = case
+        start, v0, first = initial_state(graph, P)
+        assert _bits(first) == _bits(plan_ref.target_for_edge(
+            graph, first.edge_index, start, _lookahead(v0, None, P)))
+        v = speed * graph.nodes["b"].vh
+        for current in (first, plan_ref.target_for_edge(graph, 0, pose, math.inf)):
+            rel = to_relative(pose, current.target_world)
+            t = next_target(graph, current, pose, rel, v, P, reached_hint=hint)
+            assert _bits(t) == _bits(plan_ref.target_for_edge(
+                graph, t.edge_index, pose, _lookahead(v, current, P)))
 
 
 class TestEnvironments:
