@@ -1,17 +1,21 @@
-"""Cost of an interval monitor call against a point monitor call.
+"""Cost of the interval-mode gate and of an interval monitor call against a
+point monitor call.
 
     python3 scripts/interval_cost.py
 
 Runs the ``grid_interval`` benchmark batch once (``waynet simulate --env all
 --controller pd1,liveness,bangbang --episodes 2 --max-cycles 2000
---disturbance 0.1,0.002,0.1,0.1 --seed 1 --interval-mode``, 1,938 interval
-calls) and records the arguments of every interval evaluation the harness's
-gate makes. It then times the recorded calls both ways, as the gate makes
-them: the point controller monitor on the waypoint, and the interval
-evaluation on point intervals built from the same numbers. The two timings
-alternate for 20 rounds, the point side repeated to last at least as long as
-the interval side; each side's minimum over the rounds is printed in
-microseconds per call, with the ratio of the two.
+--disturbance 0.1,0.002,0.1,0.1 --seed 1 --interval-mode``, 1,938 float
+passes) and records the arguments of every pass of the controller monitor
+that the harness's gate asks its float filter to certify. It then times the
+recorded calls three ways: the point controller monitor on the waypoint; the
+gate as the harness runs it, which is the point monitor, the filter, and the
+interval evaluation for a pass the filter cannot tell; and the interval
+evaluation on point intervals built from the same numbers. The timings
+alternate for 20 rounds, the point and gate sides repeated to last at least
+as long as the interval side; each side's minimum over the rounds is printed
+in microseconds per call, with each side's ratio to the point side, and the
+number of calls that fall through the filter to intervals.
 """
 
 from __future__ import annotations
@@ -25,64 +29,70 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from waynet import cli, harness  # noqa: E402
-from waynet.core import RelWaypoint  # noqa: E402
 from waynet.intervals import Ivl, interval_eval_controller  # noqa: E402
-from waynet.monitor import controller_monitor  # noqa: E402
+from waynet.monitor import certified_pass, controller_monitor  # noqa: E402
 
 
 def record_gate_calls(episodes: int, max_cycles: int) -> list[tuple]:
-    """(wp, v, a, p) of every interval evaluation in a grid_interval batch."""
+    """(wp, v, a, p) of every float pass the gate filters in a grid_interval batch."""
     calls = []
 
-    def recorded(x, y, k, vl, vh, v, a, p):
-        calls.append((RelWaypoint(x.lo, y.lo, k.lo, vl.lo, vh.lo), v.lo, a.lo, p))
-        return interval_eval_controller(x, y, k, vl, vh, v, a, p)
+    def recorded(wp, v, a, p):
+        calls.append((wp, v, a, p))
+        return certified_pass(wp, v, a, p)
 
     argv = ["simulate", "--env", "all", "--controller", "pd1,liveness,bangbang",
             "--episodes", str(episodes), "--max-cycles", str(max_cycles),
             "--disturbance", "0.1,0.002,0.1,0.1", "--seed", "1", "--interval-mode"]
-    harness.interval_eval_controller = recorded
+    harness.certified_pass = recorded
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
     finally:
-        harness.interval_eval_controller = interval_eval_controller
+        harness.certified_pass = certified_pass
     if code != 0:
         raise SystemExit(f"simulate exited {code}")
     return calls
 
 
-def time_point(calls, reps: int) -> float:
+def point(wp, v, a, p):
+    controller_monitor(wp, v, a, p)
+
+
+def interval(wp, v, a, p):
+    interval_eval_controller(Ivl(wp.x), Ivl(wp.y), Ivl(wp.k), Ivl(wp.vl), Ivl(wp.vh),
+                             Ivl(v), Ivl(a), p)
+
+
+def time_calls(call, calls, reps: int) -> float:
     start = time.perf_counter()
     for _ in range(reps):
         for wp, v, a, p in calls:
-            controller_monitor(wp, v, a, p)
+            call(wp, v, a, p)
     return (time.perf_counter() - start) / reps
 
 
-def time_interval(calls) -> float:
-    start = time.perf_counter()
-    for wp, v, a, p in calls:
-        interval_eval_controller(Ivl(wp.x), Ivl(wp.y), Ivl(wp.k), Ivl(wp.vl),
-                                 Ivl(wp.vh), Ivl(v), Ivl(a), p)
-    return time.perf_counter() - start
-
-
 def report(calls, rounds: int) -> str:
-    """Both sides' minimum time per call over ``rounds`` alternating rounds."""
-    # The point side repeats so that it lasts at least as long as the
-    # interval side, so both minima sample the CPU's speed over the same span.
-    interval = time_interval(calls)
-    reps = 1
-    while reps * time_point(calls, reps) <= interval:
-        reps *= 2
-    point = interval = float("inf")
+    """Each side's minimum time per call over ``rounds`` alternating rounds."""
+    # The point and gate sides repeat so that each lasts at least as long as
+    # the interval side, so all minima sample the CPU's speed over the same span.
+    span = time_calls(interval, calls, 1)
+    sides = {"point": point, "gate": harness._gate, "interval": interval}
+    reps = {}
+    for name, call in sides.items():
+        reps[name] = 1
+        while reps[name] * time_calls(call, calls, reps[name]) <= span:
+            reps[name] *= 2
+    best = dict.fromkeys(sides, float("inf"))
     for _ in range(rounds):
-        point = min(point, time_point(calls, reps))
-        interval = min(interval, time_interval(calls))
+        for name, call in sides.items():
+            best[name] = min(best[name], time_calls(call, calls, reps[name]))
     n = len(calls)
-    return (f"calls {n}  point {1e6 * point / n:.2f} us  interval {1e6 * interval / n:.2f} us"
-            f"  ratio {interval / point:.1f}")
+    fallen = sum(not certified_pass(*c) for c in calls)
+    return (f"calls {n}  point {1e6 * best['point'] / n:.2f} us"
+            f"  gate {1e6 * best['gate'] / n:.2f} us  interval {1e6 * best['interval'] / n:.2f} us"
+            f"  gate/point {best['gate'] / best['point']:.1f}"
+            f"  interval/point {best['interval'] / best['point']:.1f}  fall-through {fallen}")
 
 
 def main() -> int:

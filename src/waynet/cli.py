@@ -90,7 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--disturbance", type=_parse_disturbance,
                      default=Disturbance(), metavar="GAIN,BIAS,ACCEL,JITTER")
     sim.add_argument("--interval-mode", action="store_true",
-                     help="additionally require an interval-certified pass")
+                     help="pass a proposal only where the controller monitor holds in "
+                          "real arithmetic: a float filter certifies most passes, and "
+                          "interval arithmetic decides the rest")
     sim.add_argument("--no-monitor", action="store_true",
                      help="diagnostic: disable monitor enforcement")
     sim.add_argument("--out", type=Path, help="directory for summary and logs")

@@ -16,6 +16,32 @@ conjunctions of them. Failing verdicts are module globals bound at import: on
 CPython 3.11 reading an enum member costs about 170 ns, a global about 13 ns.
 The composed form, with the annulus, ``lim`` and ``deltaLim`` helpers of the
 model, is kept as the test oracle in ``tests/monitor_ref.py``.
+
+``certified_pass`` is a dynamic filter (Brönnimann, Burnikel & Pion 2001;
+Shewchuk 1997): it returns True only when ``Feas ∧ Go`` holds in real
+arithmetic on the given floats, and False when it cannot tell. Clauses with
+no arithmetic are exact on floats: ``x > 0``, the limit order, ``-B <= a <=
+A``, ``v <= vh`` and ``vl <= v``, and so are the comparisons of ``v + a*T``
+when ``a == 0``, where it is ``v`` itself. ``|k|*eps <= 1`` needs one
+product, and rounding is monotone, so a float product below 1 is a real one
+below 1. Every other clause is decided by its float margin ``D``, certified
+when ``D > 2**-48 * M``. The bound (Higham, ch. 3): each float operation
+returns ``(x op y)(1 + d) + e`` with ``|d| <= u = 2**-53``, and ``|e| <=
+u*lam``, ``lam = 2**-1022``, for products and quotients (gradual underflow;
+``e = 0`` for sums, which are exact when subnormal). Expanding a margin whose
+every term carries at most ``n`` factors ``(1 + d)`` gives ``|D - D_real| <=
+gamma_n * M_real``, ``gamma_n = n*u/(1 - n*u)``, where ``M`` is the margin
+with every operand replaced by its magnitude, ``-`` by ``+``, and ``lam``
+added to each product and quotient: the absolute term for underflow. The
+filter divides only by the exact ``A`` and ``B``. ``n`` is largest for a
+distance clause, ``max(|x|, |y|) - (bloat**2 * (v*T + (a*T*T + gap)*0.5) +
+eps)``, at 18; its ``M``, evaluated in floats, is below the real one by a
+factor ``(1 - u)**m`` with ``m`` under 100, and ``2**-48 * M`` loses at most
+``u`` in relative terms, or half a subnormal, to its own rounding. So ``D >
+2**-48 * M`` implies ``D > gamma_18 * M_real >= |D - D_real|``, hence
+``D_real > 0``. Each ``M`` dominates the magnitude of every intermediate it
+covers, so an overflow, an infinity or a NaN makes ``M`` infinite or the
+comparison false, and is never certified.
 """
 
 from __future__ import annotations
@@ -27,6 +53,8 @@ from dataclasses import dataclass
 from waynet.core import Params, RelWaypoint
 
 _INF = math.inf
+_ERR = 2.0 ** -48    # 32u, above gamma_18 with room for M's own rounding
+_LAM = 2.0 ** -1022  # smallest normal float; u*_LAM bounds a product's underflow error
 
 
 class Clause(enum.Enum):
@@ -182,6 +210,60 @@ def controller_monitor(wp: RelWaypoint, v: float, a: float, p: Params) -> Monito
     if not verdict.passed:
         return verdict
     return go(wp, v, a, p)
+
+
+def certified_pass(wp: RelWaypoint, v: float, a: float, p: Params) -> bool:
+    """True only when ``Feas ∧ Go`` holds in real arithmetic on these floats;
+    False means "cannot tell", not "fails" (module docstring)."""
+    x, y, k, vl, vh = wp.x, wp.y, wp.k, wp.vl, wp.vh
+    A, B, T, eps = p.accel_max, p.brake_max, p.cycle_max, p.tol
+    if not (x > 0.0 and 0.0 <= vl < vh < _INF and -B <= a <= A):
+        return False
+    ak = abs(k)
+    ke = ak * eps
+    if not ke < 1.0:
+        return False
+    xx, yy, ee = x * x, y * y, eps * eps
+    if not (eps - abs(k * (xx + yy - ee) * 0.5 - y)
+            > _ERR * ((ak * (xx + yy + ee + 3.0 * _LAM) + _LAM) * 0.5 + _LAM + abs(y) + eps)):
+        return False
+    gap = max(A, B) * T
+    if not vh - vl - gap > _ERR * (vh + vl + gap + _LAM):
+        return False
+    aT = a * T
+    ve = v + aT
+    mv = abs(v) + abs(aT) + _LAM  # M of ve
+    if a == 0.0:  # ve is v itself
+        if not ve >= 0.0:
+            return False
+        up, lo = v <= vh, vl <= v
+    else:
+        if not ve > _ERR * mv:
+            return False
+        up = v <= vh and vh - ve > _ERR * (vh + mv)
+        lo = vl <= v and ve - vl > _ERR * (mv + vl)
+    if up and lo:
+        return True
+    side = max(abs(x), abs(y))
+    bloat = 1.0 + ke
+    b2, b2m = bloat * bloat, (bloat + _LAM) * (bloat + _LAM) + _LAM
+    # need = b2 * (v*T + (a*T*T + q) * 0.5) + eps, where q is twice the gap term;
+    # a name ending in _m is the M of the value it follows.
+    run, run_m = v * T, abs(v) * T + _LAM
+    att, att_m = aT * T, (abs(aT) + _LAM) * T + _LAM
+    if not up:
+        q = (ve * ve - vh * vh) / B
+        q_m = (mv * mv + vh * vh + 2.0 * _LAM) / B + _LAM
+        if not (side - (b2 * (run + (att + q) * 0.5) + eps)
+                > _ERR * (side + b2m * (run_m + (att_m + q_m) * 0.5 + _LAM) + _LAM + eps)):
+            return False
+    if not lo:
+        q = (vl * vl - ve * ve) / A
+        q_m = (vl * vl + mv * mv + 2.0 * _LAM) / A + _LAM
+        if not (side - (b2 * (run + (att + q) * 0.5) + eps)
+                > _ERR * (side + b2m * (run_m + (att_m + q_m) * 0.5 + _LAM) + _LAM + eps)):
+            return False
+    return True
 
 
 def plant_monitor(wp: RelWaypoint, v: float, elapsed: float, p: Params) -> MonitorVerdict:

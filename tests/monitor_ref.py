@@ -6,12 +6,19 @@ Each clause is written as in the model, on the helpers ``ann_clause``,
 ``_go_branch`` call. The differential tests require the runtime monitors to
 name the same failing clause on every state, and over ``Ivl`` boxes to name
 the same clause or raise the same exception.
+
+Its constants are ints, so on ``Fraction`` inputs every term is a
+``Fraction`` and the formulas are evaluated exactly: ``exact_controller_monitor``
+is the real-arithmetic ``Feas ∧ Go`` on given floats. On floats, ``x / 2``
+rounds the same real as ``x * 0.5``, and ``2 * B`` and ``1 + t`` are the
+float operations of the flat bodies.
 """
 
 import math
+from fractions import Fraction
 
 from waynet.core import Params, RelWaypoint, inf_norm
-from waynet.monitor import PASS, Clause, MonitorVerdict, Undecided, ann_residual
+from waynet.monitor import PASS, Clause, MonitorVerdict, Undecided
 
 _INF = math.inf
 
@@ -24,7 +31,7 @@ def ann_clause(wp: RelWaypoint, eps: float) -> Clause:
     """Annulus membership with failure attribution; Clause.NONE on pass."""
     if abs(wp.k) * eps > 1.0:
         return Clause.ANN_SCALE
-    if not abs(ann_residual(wp.x, wp.y, wp.k, eps)) < eps:
+    if not abs(wp.k * (wp.x * wp.x + wp.y * wp.y - eps * eps) / 2 - wp.y) < eps:
         return Clause.ANN_BAND
     return Clause.NONE
 
@@ -51,8 +58,8 @@ def delta_lim(v1: float, v2: float, acc: float, k: float, eps: float) -> float:
     bloated by (1+|k|eps)^2 for the annulus width around a curved path."""
     if not acc > 0.0:
         raise ValueError(f"delta_lim requires acc > 0, got {acc!r}")
-    bloat = 1.0 + abs(k) * eps
-    return bloat * bloat * (v1 * v1 - v2 * v2) / (2.0 * acc)
+    bloat = 1 + abs(k) * eps
+    return bloat * bloat * (v1 * v1 - v2 * v2) / (2 * acc)
 
 
 def lim(v1: float, v2: float, acc: float, wp: RelWaypoint, eps: float) -> bool:
@@ -60,6 +67,18 @@ def lim(v1: float, v2: float, acc: float, wp: RelWaypoint, eps: float) -> bool:
     if v1 <= v2:
         return True
     return delta_lim(v1, v2, acc, wp.k, eps) + eps <= inf_norm(wp.x, wp.y)
+
+
+def go_need(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool):
+    """Distance Go needs to restore the upper (or lower) limit after one cycle."""
+    T = p.cycle_max
+    v_end = v + a * T
+    if upper:
+        gap_term = (v_end * v_end - wp.vh * wp.vh) / (2 * p.brake_max)
+    else:
+        gap_term = (wp.vl * wp.vl - v_end * v_end) / (2 * p.accel_max)
+    bloat = 1 + abs(wp.k) * p.tol
+    return bloat * bloat * (v * T + a * T * T / 2 + gap_term) + p.tol
 
 
 def _go_branch(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool) -> bool:
@@ -74,12 +93,7 @@ def _go_branch(wp: RelWaypoint, v: float, a: float, p: Params, upper: bool) -> b
             return True
     except Undecided:
         undecided = True  # the distance disjunct below may still decide
-    if upper:
-        gap_term = (v_end * v_end - wp.vh * wp.vh) / (2 * p.brake_max)
-    else:
-        gap_term = (wp.vl * wp.vl - v_end * v_end) / (2 * p.accel_max)
-    bloat = 1.0 + abs(wp.k) * p.tol
-    need = bloat * bloat * (v * T + a * T * T / 2.0 + gap_term) + p.tol
+    need = go_need(wp, v, a, p, upper)
     # need <= max(|x|, |y|) side by side: over boxes, max(|x|, |y|) can be undecided.
     for side in (wp.x, wp.y):
         try:
@@ -144,3 +158,15 @@ def plant_monitor(wp: RelWaypoint, v: float, elapsed: float, p: Params) -> Monit
     if not v >= 0.0:
         return _fail(Clause.PLANT_DOMAIN)
     return PASS
+
+
+def exact_args(wp: RelWaypoint, v: float, a: float, p: Params):
+    """The arguments as ``Fraction``s; raises on a non-finite float."""
+    return (RelWaypoint(*map(Fraction, (wp.x, wp.y, wp.k, wp.vl, wp.vh))), Fraction(v),
+            Fraction(a), Params(*map(Fraction, (p.accel_max, p.brake_max, p.cycle_max,
+                                                 p.tol))))
+
+
+def exact_controller_monitor(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
+    """``Feas ∧ Go`` in real arithmetic on finite floats."""
+    return controller_monitor(*exact_args(wp, v, a, p))

@@ -1,17 +1,23 @@
 """Differential tests: the flat monitor bodies of ``waynet.monitor`` name the
 same failing clause as the composed formulas of ``monitor_ref`` on finite,
 non-finite and tied states, and over ``Ivl`` boxes name the same clause or
-raise the same exception."""
+raise the same exception. The float filter ``certified_pass`` passes only
+states that ``monitor_ref`` passes in exact arithmetic."""
 
+import dataclasses
 import math
+import random
+from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from waynet import harness, intervals, monitor
 from waynet.core import Params, RelWaypoint
 from waynet.intervals import Ivl, NaNInterval, ZeroDivideInterval
 from waynet.monitor import Undecided
 from waynet.plan import curvature_through
+from waynet.verify import sample_compliant_state
 
 import monitor_ref
 
@@ -133,7 +139,7 @@ def test_monitor_bodies_take_no_defaulted_parameter():
     """No tuning knob rides on the decision path: every argument of a monitor
     is given at each call."""
     for fn in (monitor.feas, monitor.go, monitor.invariant_j, monitor.controller_monitor,
-               monitor.plant_monitor):
+               monitor.plant_monitor, monitor.certified_pass):
         assert fn.__defaults__ is None, fn.__qualname__
 
 
@@ -141,6 +147,113 @@ def test_monitor_bodies_look_up_no_enum_member():
     """Each verdict on the decision path is a global bound at import; an enum
     member read or a ``_fail`` call per verdict costs over ten times more."""
     for fn in (monitor.feas, monitor.go, monitor.invariant_j, monitor.controller_monitor,
-               monitor.plant_monitor, harness._gate, intervals.interval_eval_controller):
+               monitor.plant_monitor, monitor.certified_pass, harness._gate,
+               intervals.interval_eval_controller):
         names = set(fn.__code__.co_names)
         assert not names & {"Clause", "IntervalVerdict", "_fail"}, fn.__qualname__
+
+
+def test_exact_oracle_computes_its_need_terms_in_fractions():
+    """On Fraction inputs every term of the reference formulas stays a
+    Fraction: a float constant such as ``* 0.5`` would round them."""
+    wp, v, a, p = monitor_ref.exact_args(RelWaypoint(5.0, 0.1, 0.03, 1.0, 4.0), 4.5, 0.3, _P)
+    for upper in (True, False):
+        assert type(monitor_ref.go_need(wp, v, a, p, upper)) is Fraction
+    assert type(monitor_ref.delta_lim(v, wp.vl, p.accel_max, wp.k, p.tol)) is Fraction
+    assert monitor_ref.exact_controller_monitor(RelWaypoint(5.0, 0.1, 0.0, 1.0, 4.0), 2.0, 0.3,
+                                                _P).passed
+
+
+@pytest.mark.parametrize("v", [1.0, 4.0])
+def test_filter_certifies_cruising_at_a_limit(v):
+    """At ``a == 0``, ``v + a*T`` is ``v`` itself, so its tie with a limit is
+    exact and needs no margin."""
+    assert monitor.certified_pass(RelWaypoint(5.0, 0.1, 0.008, 1.0, 4.0), v, 0.0, _P)
+
+
+def _assert_certified_only_if_exact_pass(p, s):
+    x, y, k, vl, vh, v, a = s[:7]
+    wp = RelWaypoint(x, y, k, vl, vh)
+    if monitor.certified_pass(wp, v, a, p):
+        assert all(math.isfinite(f) for f in s[:7]), s
+        assert monitor_ref.exact_controller_monitor(wp, v, a, p).passed, (p, s)
+
+
+def _split(ok, lo, hi):
+    """Adjacent floats lo, hi with ok(lo) and not ok(hi), given both hold."""
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo, hi
+
+
+def _float_pass(p, s):
+    return monitor.controller_monitor(RelWaypoint(*s[:5]), s[5], s[6], p).passed
+
+
+@st.composite
+def _float_boundaries(draw):
+    """(p, state) inside the float controller monitor's boundary in ``a`` or
+    in ``y``, by 0 to 4,096 times the boundary's float spacing, from a state
+    that satisfies ``Feas`` and ``J``. Lengths scale by 2**-e and curvatures
+    by 2**e, so at e above 500 the squares of the annulus residual underflow,
+    and its rounding errors are the absolute ones of subnormal products."""
+    sample = sample_compliant_state(random.Random(draw(st.integers(0, 2**32 - 1))),
+                                    require_go=False)
+    wp, p = sample.wp, sample.p
+    scale = 2.0 ** -draw(st.sampled_from((0, 0, 505, 515, 525, 535)))
+    p = dataclasses.replace(p, tol=p.tol * scale)
+    s = [wp.x * scale, wp.y * scale, wp.k / scale, wp.vl, wp.vh, sample.v, 0.0]
+    if draw(st.booleans()):
+        field, lo, hi = 6, -p.brake_max, p.accel_max
+    else:  # a speed inside the limits and a == 0 pass Go, so the annulus bounds y
+        s[5] = (wp.vl + wp.vh) / 2
+        field, lo, hi = 1, s[1], s[1] + draw(st.sampled_from((-2.0, 2.0))) * p.tol
+
+    def ok(value):
+        return _float_pass(p, s[:field] + [value] + s[field + 1:])
+
+    if ok(lo) and not ok(hi):
+        lo, hi = _split(ok, lo, hi)
+        s[field] = lo - (hi - lo) * draw(st.sampled_from((0, 1, 8, 64, 512, 4096)))
+    return p, s
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_states(), st.none() | st.tuples(st.integers(0, 6), _ANY),
+       st.none() | st.sampled_from(_TIES))
+def test_filter_certifies_only_exact_passes(state, wide, kind):
+    """Any finite float in one field, subnormals and the largest included, and
+    the ties of the clauses."""
+    p, s = state
+    if kind is not None:
+        s = _tie(p, s, kind)
+    if wide is not None:
+        s[wide[0]] = wide[1]
+    _assert_certified_only_if_exact_pass(p, s)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_states(), st.integers(0, 6), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_filter_never_certifies_a_non_finite_field(state, field, bad):
+    p, s = state
+    s[field] = bad
+    assert not monitor.certified_pass(RelWaypoint(*s[:5]), s[5], s[6], p)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_states(), st.sampled_from(["accel_max", "brake_max", "cycle_max", "tol"]),
+       st.floats(min_value=5e-324, allow_infinity=False))
+def test_filter_certifies_only_exact_passes_for_any_parameter(state, name, value):
+    p, s = state
+    try:
+        p = dataclasses.replace(p, **{name: value})
+    except ValueError:  # A*T**2 or B*T**2 overflows
+        assume(False)
+    _assert_certified_only_if_exact_pass(p, s)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_float_boundaries())
+def test_filter_certifies_only_exact_passes_at_float_boundaries(state):
+    p, s = state
+    _assert_certified_only_if_exact_pass(p, s)
