@@ -16,6 +16,12 @@ alternate for 20 rounds, the point and gate sides repeated to last at least
 as long as the interval side; each side's minimum over the rounds is printed
 in microseconds per call, with each side's ratio to the point side, and the
 number of calls that fall through the filter to intervals.
+
+On this batch the fall-through is 0: the gate never calls intervals, so the
+interval column is the cost of a call that never happens. Near-boundary
+traffic pays the gate on states the filter cannot certify, such as the
+float-boundary states of ``tests/test_harness.py``, where every pass falls
+through.
 """
 
 from __future__ import annotations

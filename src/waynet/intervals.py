@@ -2,8 +2,7 @@
 
 There is one formula: ``interval_eval_controller`` runs
 ``waynet.monitor.controller_monitor`` itself with ``Ivl`` waypoint, speed and
-acceleration and with a ``Params`` of the four fields as point ``Ivl``s, built
-again only when a call passes another ``Params`` object.
+acceleration and with a ``Params`` of the four fields as point ``Ivl``s.
 
 Interval endpoints are floats. Each endpoint is rounded in its own direction
 (``lo`` down, ``hi`` up), and only when the float result is inexact: an
@@ -16,13 +15,12 @@ may not be a float), steps one float outward with ``math.nextafter``; a
 round-to-nearest result is never more than that step from the exact one. An
 exact float result stays a point, so cruising at ``v = vl`` with ``a = 0``
 keeps ``v + a*T`` the point ``v`` and its limit comparison decided.
-Arithmetic reads a float or ``Ivl`` operand's endpoints inline and converts
-any other real with ``Ivl`` first; a comparison takes any other real as the
-exact point it is. Point operands (``lo == hi``, as the harness passes) take
-one transform for ``+``, ``-``, ``*`` and squares, which rounds both
-endpoints. A box takes one per endpoint: TwoSum in the operator, and for
-products ``_lo``, which rounds down only (``-_lo(-a, b)`` rounds up). A zero
-endpoint's sign may differ between the two paths, which no comparison sees.
+Every operation has one path: it converts an operand that is not an ``Ivl``
+with ``Ivl`` and rounds each endpoint with its own transform, so a point pays
+for two. Speed is not this stage's job: the harness's float filter
+(``monitor.certified_pass``) sends intervals only the passes it cannot
+certify, and no benchmark batch has any. A comparison takes any other real as
+the exact point it is.
 
 The monitor halves by ``* 0.5``, one product, where ``/ 2.0`` also checked
 its quotient. Their endpoints differ in two bands, both sound: a halved
@@ -76,6 +74,16 @@ class NaNInterval(ArithmeticError):
     """An endpoint would be NaN (inf - inf, 0 * inf); the enclosing clause is Unknown."""
 
 
+def _sum(a: float, b: float) -> tuple[float, float]:
+    """(lo, hi) enclosing the exact a + b: Knuth's TwoSum error is exact
+    whenever the sum is finite."""
+    s = a + b
+    t = s - a
+    err = (a - (s - t)) + (b - t)
+    return (s if err >= 0.0 else math.nextafter(s, -math.inf),
+            s if err <= 0.0 else math.nextafter(s, math.inf))
+
+
 def _prod(a: float, b: float) -> tuple[float, float]:
     """(lo, hi) enclosing the exact a * b. Dekker's TwoProduct error is exact
     for _TINY <= |a*b| <= _HUGE (NaN if the split overflows); outside that
@@ -96,24 +104,6 @@ def _prod(a: float, b: float) -> tuple[float, float]:
     return math.nextafter(p, -math.inf), math.nextafter(p, math.inf)
 
 
-def _lo(a: float, b: float) -> float:
-    """``_prod(a, b)[0]``, the exact a * b rounded down, for box endpoints;
-    ``-_lo(-a, b)`` is ``_prod(a, b)[1]``, as negation is exact."""
-    p = a * b
-    if _TINY <= abs(p) <= _HUGE:
-        c = _SPLIT * a
-        ah = c - (c - a)
-        al = a - ah
-        c = _SPLIT * b
-        bh = c - (c - b)
-        bl = b - bh
-        if al * bl - (((p - ah * bh) - al * bh) - ah * bl) >= 0.0:
-            return p
-    elif p == 0.0 and (a == 0.0 or b == 0.0):
-        return p
-    return math.nextafter(p, -math.inf)
-
-
 def _quot(a: float, b: float) -> tuple[float, float]:
     """(lo, hi) enclosing the exact a / b for b != 0: the quotient q itself
     when q * b == a exactly, else one step outward on both sides."""
@@ -123,13 +113,9 @@ def _quot(a: float, b: float) -> tuple[float, float]:
     return math.nextafter(q, -math.inf), math.nextafter(q, math.inf)
 
 
-def _ivl(lo: float, hi: float) -> Ivl:
-    if not lo <= hi:  # directed rounding keeps lo <= hi, so only a NaN fails
-        raise NaNInterval(f"NaN endpoint: [{lo}, {hi}]")
-    r = object.__new__(Ivl)
-    r.lo = lo
-    r.hi = hi
-    return r
+def _operand(x) -> Ivl:
+    """``x`` if it is an ``Ivl``, else any other real as ``Ivl(x)``."""
+    return x if type(x) is Ivl else Ivl(x)
 
 
 class Ivl:
@@ -142,9 +128,6 @@ class Ivl:
 
     def __init__(self, lo, hi=None):
         if hi is None:
-            if type(lo) is float and lo == lo:  # a float point needs no rounding
-                self.lo = self.hi = lo
-                return
             hi = lo
         flo = -math.inf if lo < -_LARGEST else math.inf if lo > _LARGEST else float(lo)
         fhi = -math.inf if hi < -_LARGEST else math.inf if hi > _LARGEST else float(hi)
@@ -163,89 +146,40 @@ class Ivl:
         return f"Ivl({self.lo!r}, {self.hi!r})"
 
     def __add__(self, other):
-        a, b = self.lo, self.hi
-        if type(other) is Ivl:
-            c, d = other.lo, other.hi
-        elif type(other) is float:
-            c = d = other
-        else:
-            return self + Ivl(other)
-        # TwoSum per endpoint; two point operands share one.
-        s = a + c
-        t = s - a
-        err = (a - (s - t)) + (c - t)
-        r = object.__new__(Ivl)
-        r.lo = s if err >= 0.0 else math.nextafter(s, -math.inf)
-        if a != b or c != d:
-            s = b + d
-            t = s - b
-            err = (b - (s - t)) + (d - t)
-        r.hi = s if err <= 0.0 else math.nextafter(s, math.inf)
-        if not r.lo <= r.hi:  # directed rounding keeps lo <= hi, so only a NaN fails
-            raise NaNInterval(f"NaN endpoint: [{a}, {b}] + [{c}, {d}]")
-        return r
+        o = _operand(other)
+        return Ivl(_sum(self.lo, o.lo)[0], _sum(self.hi, o.hi)[1])
 
     def __sub__(self, other):
-        a, b = self.lo, self.hi
-        if type(other) is Ivl:
-            c, d = -other.hi, -other.lo
-        elif type(other) is float:
-            c = d = -other
-        else:
-            return self - Ivl(other)
-        s = a + c
-        t = s - a
-        err = (a - (s - t)) + (c - t)
-        r = object.__new__(Ivl)
-        r.lo = s if err >= 0.0 else math.nextafter(s, -math.inf)
-        if a != b or c != d:
-            s = b + d
-            t = s - b
-            err = (b - (s - t)) + (d - t)
-        r.hi = s if err <= 0.0 else math.nextafter(s, math.inf)
-        if not r.lo <= r.hi:
-            raise NaNInterval(f"NaN endpoint: [{a}, {b}] - [{-d}, {-c}]")
-        return r
+        return self + -_operand(other)
 
     def __neg__(self):
-        return _ivl(-self.hi, -self.lo)
+        return Ivl(-self.hi, -self.lo)
 
     def __mul__(self, other):
-        a, b = self.lo, self.hi
-        if type(other) is Ivl:
-            c, d = other.lo, other.hi
-        elif type(other) is float:
-            c = d = other
-        else:
-            return self * Ivl(other)
-        if a == b and c == d:
-            r = object.__new__(Ivl)
-            r.lo, r.hi = _prod(a, c)
-            if not r.lo <= r.hi:
-                raise NaNInterval(f"NaN endpoint: {a} * {c}")
-            return r
+        o = _operand(other)
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
         # Only the endpoint products that bound the result, by sign case, so
         # 0 * inf is computed only where it would be an endpoint.
         if a >= 0.0:
             if c >= 0.0:
-                return _ivl(_lo(a, c), -_lo(-b, d))
+                return Ivl(_prod(a, c)[0], _prod(b, d)[1])
             if d <= 0.0:
-                return _ivl(_lo(b, c), -_lo(-a, d))
-            return _ivl(_lo(b, c), -_lo(-b, d))
+                return Ivl(_prod(b, c)[0], _prod(a, d)[1])
+            return Ivl(_prod(b, c)[0], _prod(b, d)[1])
         if b <= 0.0:
             if c >= 0.0:
-                return _ivl(_lo(a, d), -_lo(-b, c))
+                return Ivl(_prod(a, d)[0], _prod(b, c)[1])
             if d <= 0.0:
-                return _ivl(_lo(b, d), -_lo(-a, c))
-            return _ivl(_lo(a, d), -_lo(-a, c))
+                return Ivl(_prod(b, d)[0], _prod(a, c)[1])
+            return Ivl(_prod(a, d)[0], _prod(a, c)[1])
         if c >= 0.0:
-            return _ivl(_lo(a, d), -_lo(-b, d))
+            return Ivl(_prod(a, d)[0], _prod(b, d)[1])
         if d <= 0.0:
-            return _ivl(_lo(b, c), -_lo(-a, c))
+            return Ivl(_prod(b, c)[0], _prod(a, c)[1])
         if other is self:  # a square straddling zero
-            return _ivl(0.0, max(-_lo(-a, c), -_lo(-b, d)))
-        return _ivl(min(_lo(a, d), _lo(b, c)),
-                    max(-_lo(-a, c), -_lo(-b, d)))
+            return Ivl(0.0, max(_prod(a, c)[1], _prod(b, d)[1]))
+        return Ivl(min(_prod(a, d)[0], _prod(b, c)[0]),
+                   max(_prod(a, c)[1], _prod(b, d)[1]))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -254,22 +188,22 @@ class Ivl:
         return -self + other
 
     def __truediv__(self, other):
-        o = other if type(other) is Ivl else Ivl(other)
+        o = _operand(other)
         c, d = o.lo, o.hi
         if c <= 0.0 <= d:
             raise ZeroDivideInterval(f"division by [{c}, {d}]")
         if d < 0.0:
-            return -(self / _ivl(-d, -c))
+            return -(self / -o)
         a, b = self.lo, self.hi
-        return _ivl(_quot(a, d if a >= 0.0 else c)[0],
-                    _quot(b, c if b >= 0.0 else d)[1])
+        return Ivl(_quot(a, d if a >= 0.0 else c)[0],
+                   _quot(b, c if b >= 0.0 else d)[1])
 
     def __abs__(self):
         if self.lo >= 0.0:
             return self
         if self.hi <= 0.0:
             return -self
-        return _ivl(0.0, max(-self.lo, self.hi))
+        return Ivl(0.0, max(-self.lo, self.hi))
 
     def __lt__(self, other):
         lo, hi = (other.lo, other.hi) if type(other) is Ivl else (other, other)
@@ -304,21 +238,12 @@ class Ivl:
         raise Undecided
 
 
-# The last ``Params`` and its copy of point intervals, keyed by identity: a
-# frozen ``Params`` cannot change under the cache, and holding it keeps its id.
-_last_params = (None, None)
-
-
 def interval_eval_controller(x: Ivl, y: Ivl, k: Ivl, vl: Ivl, vh: Ivl,
                              v: Ivl, a: Ivl, p: Params) -> IntervalVerdict:
     """Evaluate the controller monitor (feasibility and admissibility) over a
     box of states; conservative in the fail-safe direction."""
-    global _last_params
-    last, pp = _last_params
     try:
-        if last is not p:
-            pp = Params(Ivl(p.accel_max), Ivl(p.brake_max), Ivl(p.cycle_max), Ivl(p.tol))
-            _last_params = (p, pp)
+        pp = Params(Ivl(p.accel_max), Ivl(p.brake_max), Ivl(p.cycle_max), Ivl(p.tol))
         verdict = controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, pp)
     except (Undecided, ZeroDivideInterval, NaNInterval):
         return UNKNOWN

@@ -210,6 +210,56 @@ def test_box_endpoints_are_the_rounded_exact_extremes(x, y, name):
     assert (result.lo, result.hi) == expected, (x, name, y, result)
 
 
+# The monitor body mixes reals into interval arithmetic (``2.0 * Ivl``,
+# ``1.0 + Ivl``, ``Ivl * 0.5``). A float, int or Fraction operand, on either
+# side, acts as its point interval ``Ivl(other)``: the same endpoints, or the
+# same exception. A result from finite operands encloses the exact result.
+_REAL = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, _SMALLEST, -_SMALLEST,
+                     _LARGEST, -_LARGEST, 0.5, 2.0]),
+    st.integers(min_value=-(10 ** 400), max_value=10 ** 400),
+    st.fractions(),
+    st.sampled_from([Fraction(1, 3), Fraction(-(10 ** 400), 3), Fraction(1, 10 ** 400)]),
+)
+_MIXED = [(name, reflected) for name in ("+", "-", "*") for reflected in (False, True)]
+_MIXED.append(("/", False))
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except (NaNInterval, ZeroDivideInterval) as exc:
+        return type(exc)
+    return result.lo, result.hi
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(_ivls(st.floats(allow_nan=False)), _REAL, st.sampled_from(_MIXED))
+@example(Ivl(0.1, 0.3), 2.0, ("*", True))
+@example(Ivl(0.1, 0.3), 1.0, ("+", True))
+@example(Ivl(0.1, 0.3), 0.5, ("*", False))
+@example(Ivl(0.1), 1.0, ("-", True))
+@example(Ivl(1.0, 2.0), Fraction(1, 3), ("-", True))
+@example(Ivl(-1.0, 2.0), Fraction(1, 3), ("/", False))
+@example(Ivl(0.0), -0.0, ("*", True))
+@example(Ivl(-math.inf, 0.0), math.inf, ("+", True))
+@example(Ivl(_SMALLEST, _LARGEST), -_LARGEST, ("*", False))
+def test_real_operands_act_as_their_point_interval(x, other, case):
+    name, reflected = case
+    op = _BINARY[name]
+    outcome = _outcome(lambda: op(other, x) if reflected else op(x, other))
+    assert outcome == _outcome(lambda: op(Ivl(other), x) if reflected else op(x, Ivl(other))), \
+        (x, name, other, reflected, outcome)
+    finite = math.isfinite(x.lo) and math.isfinite(x.hi) and (
+        type(other) is not float or math.isfinite(other))
+    if type(outcome) is tuple and finite:
+        for e in (x.lo, x.hi):
+            a, b = Fraction(e), Fraction(other)
+            exact = op(b, a) if reflected else op(a, b)
+            assert outcome[0] <= exact <= outcome[1], (x, name, other, reflected, outcome)
+
+
 class TestIvl:
     def test_inexact_sum_steps_each_endpoint_outward_once(self):
         s = Ivl(0.1) + Ivl(0.2)
