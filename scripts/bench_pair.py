@@ -7,9 +7,11 @@ workload of BENCHMARK.json it runs ``perfbench/run.py --trace 0`` on the
 parent and on the working tree in 10 alternating pairs, the parent first in
 even-numbered pairs, and then 3 alternating pairs of ``--trace 1`` runs for
 the per-layer metrics. Every run lasts BENCHMARK.json's ``run_seconds`` at seed 1,
-so every BENCH file comes from the same settings. Each side runs its own
-``perfbench/``, so the comparison holds only while that directory is the same
-in both.
+so every BENCH file comes from the same settings. It then runs 3 more
+alternating untraced pairs at seed 2, a held-out seed: a claimed gain must
+also hold on a seed not used while the change was written. Each side runs its
+own ``perfbench/``, so the comparison holds only while that directory is the
+same in both.
 
 It writes BENCH_<N>.json at the repository root. Per workload and end-to-end
 metric, it holds each side's runs, median and quartiles, the pairs the change
@@ -22,6 +24,9 @@ won, and a verdict:
 - ``unresolved``: the parent's quartile spread exceeds the bound, and not
   every change run is better than every parent run;
 - ``unchanged``: none of these.
+
+The held-out pairs get the same comparison per end-to-end metric, so with 3
+pairs a ``gain`` there needs all 3 wins.
 
 It also records each per-layer metric's traced runs and their median per
 side, whether every run of both sides gave the same fingerprint, and the
@@ -50,6 +55,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 TRACED_PAIRS = 3
 SEED = 1
+HELD_OUT_PAIRS = 3
+HELD_OUT_SEED = 2
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -104,10 +111,10 @@ def per_layer(traced: dict[str, list[dict]], names: list[str]) -> dict:
             for name, sides in values.items()}
 
 
-def perfbench(tree: Path, workload: str, seconds: float, trace: int) -> dict:
+def perfbench(tree: Path, workload: str, seconds: float, trace: int, seed: int) -> dict:
     """One perfbench run in tree: its result line with the detail line merged in."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     *_, detail, result = proc.stdout.strip().splitlines()
@@ -125,32 +132,50 @@ def export(ref: str, into: Path) -> str:
     return sha
 
 
-def bench_workload(trees: dict[str, Path], workload: str, spec: dict) -> dict:
-    seconds = spec["run_seconds"]
-
-    def untraced(side):
-        result = perfbench(trees[side], workload, seconds, 0)
-        print(f"{workload} {side}: {result['metrics']['throughput_per_s']['value']:.1f}/s",
-              file=sys.stderr)
-        return result
-
-    runs = paired_runs(untraced, PAIRS)
-    traced = paired_runs(lambda side: perfbench(trees[side], workload, seconds, 1),
-                         TRACED_PAIRS)
-    every_run = [r for side in (runs, traced) for rs in side.values() for r in rs]
-    end_to_end = {
+def end_to_end(runs: dict[str, list], spec: dict) -> dict:
+    """compare() of every end-to-end metric over paired runs."""
+    return {
         m["name"]: compare([r["metrics"][m["name"]]["value"] for r in runs["parent"]],
                            [r["metrics"][m["name"]]["value"] for r in runs["change"]],
                            m["better"], m["bound"])
         for m in spec["end_to_end"]}
+
+
+def bench_workload(trees: dict[str, Path], workload: str, spec: dict) -> dict:
+    seconds = spec["run_seconds"]
+
+    def untraced(seed):
+        def run(side):
+            result = perfbench(trees[side], workload, seconds, 0, seed)
+            print(f"{workload} seed {seed} {side}: "
+                  f"{result['metrics']['throughput_per_s']['value']:.1f}/s", file=sys.stderr)
+            return result
+        return run
+
+    runs = paired_runs(untraced(SEED), PAIRS)
+    traced = paired_runs(lambda side: perfbench(trees[side], workload, seconds, 1, SEED),
+                         TRACED_PAIRS)
+    held_out = paired_runs(untraced(HELD_OUT_SEED), HELD_OUT_PAIRS)
+    every_run = [r for side in (runs, traced) for rs in side.values() for r in rs]
+    held_out_runs = [r for rs in held_out.values() for r in rs]
     return {
-        "end_to_end": end_to_end,
+        "end_to_end": end_to_end(runs, spec),
         "per_layer": per_layer(traced, [m["name"] for m in spec["per_layer"]]),
         "fingerprints_equal": all(r["detail"]["fingerprint"] == every_run[0]["detail"]["fingerprint"]
                                   for r in every_run),
         "fingerprint": every_run[0]["detail"]["fingerprint"],
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
+        "held_out": {
+            "seed": HELD_OUT_SEED,
+            "end_to_end": end_to_end(held_out, spec),
+            "fingerprints_equal": all(r["detail"]["fingerprint"]
+                                      == held_out_runs[0]["detail"]["fingerprint"]
+                                      for r in held_out_runs),
+            "failed": {side: sum(r["failed"] for r in held_out[side]) for side in held_out},
+            "attempted": {side: sum(r["attempted"] for r in held_out[side])
+                          for side in held_out},
+        },
     }
 
 
@@ -174,6 +199,7 @@ def main(argv=None) -> int:
         "change": {"head": head, "uncommitted_changes": dirty},
         "settings": {"pairs": PAIRS, "traced_pairs": TRACED_PAIRS,
                      "seconds": spec["run_seconds"], "seed": SEED,
+                     "held_out_pairs": HELD_OUT_PAIRS, "held_out_seed": HELD_OUT_SEED,
                      "trace": "end-to-end untraced; per-layer from alternating traced pairs, "
                               "median per side"},
         "environment": {"python": platform.python_version(), "nproc": os.cpu_count()},
@@ -182,9 +208,11 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     for w, r in results.items():
-        verdicts = ", ".join(f"{m} {e['verdict']} ({e['change_over_parent']:.2f}x)"
-                             for m, e in r["end_to_end"].items())
-        print(f"{w}: {verdicts}; fingerprints equal: {r['fingerprints_equal']}")
+        for seed, section in ((SEED, r), (HELD_OUT_SEED, r["held_out"])):
+            verdicts = ", ".join(f"{m} {e['verdict']} ({e['change_over_parent']:.2f}x)"
+                                 for m, e in section["end_to_end"].items())
+            print(f"{w} seed {seed}: {verdicts}; "
+                  f"fingerprints equal: {section['fingerprints_equal']}")
     print(f"wrote {out}")
     return 0
 

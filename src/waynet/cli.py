@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=Disturbance(), metavar="GAIN,BIAS,ACCEL,JITTER")
     sim.add_argument("--interval-mode", action="store_true",
                      help="pass a proposal only where the controller monitor holds in "
-                          "real arithmetic: a float filter certifies most passes, and "
-                          "interval arithmetic decides the rest")
+                          "real arithmetic: one float pass gives the verdict and "
+                          "certifies most passes, and interval arithmetic decides the rest")
     sim.add_argument("--no-monitor", action="store_true",
                      help="diagnostic: disable monitor enforcement")
     sim.add_argument("--out", type=Path, help="directory for summary and logs")

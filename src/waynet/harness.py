@@ -35,8 +35,8 @@ from waynet.core import Params, RelWaypoint
 from waynet.dynamics import Disturbance, actuated, arc_step, goal_span, to_relative
 from waynet.intervals import DEFINITELY_TRUE, Ivl, interval_eval_controller
 from waynet.monitor import (FAIL_INTERVAL_UNDECIDED, PASS, MonitorVerdict, ann_residual,
-                            certified_pass, controller_monitor, fallback_accel,
-                            plant_monitor)
+                            certified_controller_monitor, controller_monitor,
+                            fallback_accel, plant_monitor)
 from waynet.controllers import (bang_bang, choose_accel, declared_curvature,
                                 liveness_accel, pd)
 from waynet.plan import (DeadEnd, PlanGraph, deterministic_first, initial_state,
@@ -155,17 +155,17 @@ def format_log(rows) -> str:
 
 def _gate(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
     """The ``--interval-mode`` gate: a pass of the controller monitor must hold
-    in real arithmetic. The float filter ``certified_pass`` certifies most
-    passes; only a pass it cannot tell, near a clause's boundary, is evaluated
-    over point intervals, where anything but DefinitelyTrue rejects. Point mode
-    calls the monitor alone."""
-    verdict = controller_monitor(wp, v, a, p)
-    if verdict.passed and not certified_pass(wp, v, a, p):
-        iv = interval_eval_controller(Ivl(wp.x), Ivl(wp.y), Ivl(wp.k),
-                                      Ivl(wp.vl), Ivl(wp.vh), Ivl(v), Ivl(a), p)
-        if iv is not DEFINITELY_TRUE:
-            return FAIL_INTERVAL_UNDECIDED
-    return verdict
+    in real arithmetic. One pass of ``certified_controller_monitor`` returns
+    the float verdict and certifies most passes; only a pass it cannot tell,
+    near a clause's boundary, is evaluated over point intervals, where
+    anything but DefinitelyTrue rejects. Point mode calls
+    ``controller_monitor`` alone, which computes no certificate."""
+    verdict, certified = certified_controller_monitor(wp, v, a, p)
+    if certified or not verdict.passed:
+        return verdict
+    iv = interval_eval_controller(Ivl(wp.x), Ivl(wp.y), Ivl(wp.k),
+                                  Ivl(wp.vl), Ivl(wp.vh), Ivl(v), Ivl(a), p)
+    return verdict if iv is DEFINITELY_TRUE else FAIL_INTERVAL_UNDECIDED
 
 
 def _steering(profile: ControllerProfile, wp: RelWaypoint, k_decl: float, v: float,

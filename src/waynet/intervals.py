@@ -17,9 +17,10 @@ exact float result stays a point, so cruising at ``v = vl`` with ``a = 0``
 keeps ``v + a*T`` the point ``v`` and its limit comparison decided.
 Every operation has one path: it converts an operand that is not an ``Ivl``
 with ``Ivl`` and rounds each endpoint with its own transform, so a point pays
-for two. Speed is not this stage's job: the harness's float filter
-(``monitor.certified_pass``) sends intervals only the passes it cannot
-certify, and no benchmark batch has any. A comparison takes any other real as
+for two. Speed is not this stage's job: the harness's gate sends intervals
+only the passes that ``monitor.certified_controller_monitor``, one float pass
+that returns the verdict with its certificate, cannot certify, and no
+benchmark batch has any. A comparison takes any other real as
 the exact point it is.
 
 The monitor halves by ``* 0.5``, one product, where ``/ 2.0`` also checked
@@ -28,8 +29,14 @@ value in [2**-961, 2**-960) is below 2**-960 and steps outward where the
 quotient was exact, and one in (2**959, 2**960] stays exact where the
 quotient's check overflowed and stepped.
 
-No endpoint is ever NaN: ``Ivl`` rejects one, and an operation whose endpoint
-would be NaN (``inf - inf``, ``0 * inf``, ``inf / inf``) raises
+An infinite endpoint bounds reals: every interval but a point infinity holds
+only reals, such as ``[max, inf]``, to which a real beyond the largest float
+converts. A point infinity is the float ``inf`` itself, and an operation on
+one keeps it a point (``inf + 1`` is ``inf``, not ``[max, inf]``), so it
+never turns into reals. So a point zero times any interval but a point
+infinity is the point zero. No endpoint is ever NaN:
+``Ivl`` rejects one, and an operation whose endpoint would otherwise be NaN
+(``inf - inf``, ``0`` times a point infinity, ``inf / inf``) raises
 ``NaNInterval``. Like ``ZeroDivideInterval``, it makes the verdict Unknown.
 
 An ``Ivl`` comparison returns ``True`` or ``False`` only when it holds, or
@@ -76,10 +83,13 @@ class NaNInterval(ArithmeticError):
 
 def _sum(a: float, b: float) -> tuple[float, float]:
     """(lo, hi) enclosing the exact a + b: Knuth's TwoSum error is exact
-    whenever the sum is finite."""
+    whenever the sum is finite, and the sum of an infinite operand is that
+    infinity itself."""
     s = a + b
     t = s - a
     err = (a - (s - t)) + (b - t)
+    if err != err and (a == s or b == s):
+        return s, s
     return (s if err >= 0.0 else math.nextafter(s, -math.inf),
             s if err <= 0.0 else math.nextafter(s, math.inf))
 
@@ -87,7 +97,7 @@ def _sum(a: float, b: float) -> tuple[float, float]:
 def _prod(a: float, b: float) -> tuple[float, float]:
     """(lo, hi) enclosing the exact a * b. Dekker's TwoProduct error is exact
     for _TINY <= |a*b| <= _HUGE (NaN if the split overflows); outside that
-    range only an exact zero is kept."""
+    range only an exact zero, or the infinity of an infinite operand, is kept."""
     p = a * b
     if _TINY <= abs(p) <= _HUGE:
         c = _SPLIT * a
@@ -99,7 +109,7 @@ def _prod(a: float, b: float) -> tuple[float, float]:
         err = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
         return (p if err >= 0.0 else math.nextafter(p, -math.inf),
                 p if err <= 0.0 else math.nextafter(p, math.inf))
-    if p == 0.0 and (a == 0.0 or b == 0.0):
+    if p == 0.0 and (a == 0.0 or b == 0.0) or math.isinf(a) or math.isinf(b):
         return p, p
     return math.nextafter(p, -math.inf), math.nextafter(p, math.inf)
 
@@ -160,26 +170,31 @@ class Ivl:
         a, b, c, d = self.lo, self.hi, o.lo, o.hi
         # Only the endpoint products that bound the result, by sign case, so
         # 0 * inf is computed only where it would be an endpoint.
-        if a >= 0.0:
+        try:
+            if a >= 0.0:
+                if c >= 0.0:
+                    return Ivl(_prod(a, c)[0], _prod(b, d)[1])
+                if d <= 0.0:
+                    return Ivl(_prod(b, c)[0], _prod(a, d)[1])
+                return Ivl(_prod(b, c)[0], _prod(b, d)[1])
+            if b <= 0.0:
+                if c >= 0.0:
+                    return Ivl(_prod(a, d)[0], _prod(b, c)[1])
+                if d <= 0.0:
+                    return Ivl(_prod(b, d)[0], _prod(a, c)[1])
+                return Ivl(_prod(a, d)[0], _prod(a, c)[1])
             if c >= 0.0:
-                return Ivl(_prod(a, c)[0], _prod(b, d)[1])
+                return Ivl(_prod(a, d)[0], _prod(b, d)[1])
             if d <= 0.0:
-                return Ivl(_prod(b, c)[0], _prod(a, d)[1])
-            return Ivl(_prod(b, c)[0], _prod(b, d)[1])
-        if b <= 0.0:
-            if c >= 0.0:
-                return Ivl(_prod(a, d)[0], _prod(b, c)[1])
-            if d <= 0.0:
-                return Ivl(_prod(b, d)[0], _prod(a, c)[1])
-            return Ivl(_prod(a, d)[0], _prod(a, c)[1])
-        if c >= 0.0:
-            return Ivl(_prod(a, d)[0], _prod(b, d)[1])
-        if d <= 0.0:
-            return Ivl(_prod(b, c)[0], _prod(a, c)[1])
-        if other is self:  # a square straddling zero
-            return Ivl(0.0, max(_prod(a, c)[1], _prod(b, d)[1]))
-        return Ivl(min(_prod(a, d)[0], _prod(b, c)[0]),
-                   max(_prod(a, c)[1], _prod(b, d)[1]))
+                return Ivl(_prod(b, c)[0], _prod(a, c)[1])
+            if other is self:  # a square straddling zero
+                return Ivl(0.0, max(_prod(a, c)[1], _prod(b, d)[1]))
+            return Ivl(min(_prod(a, d)[0], _prod(b, c)[0]),
+                       max(_prod(a, c)[1], _prod(b, d)[1]))
+        except NaNInterval:  # 0 * inf as an endpoint (module docstring)
+            if a == b == 0.0 and c != d or c == d == 0.0 and a != b:
+                return Ivl(0.0)
+            raise
 
     __radd__ = __add__
     __rmul__ = __mul__

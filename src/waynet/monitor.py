@@ -17,12 +17,21 @@ CPython 3.11 reading an enum member costs about 170 ns, a global about 13 ns.
 The composed form, with the annulus, ``lim`` and ``deltaLim`` helpers of the
 model, is kept as the test oracle in ``tests/monitor_ref.py``.
 
-``certified_pass`` is a dynamic filter (Brönnimann, Burnikel & Pion 2001;
-Shewchuk 1997): it returns True only when ``Feas ∧ Go`` holds in real
-arithmetic on the given floats, and False when it cannot tell. Clauses with
-no arithmetic are exact on floats: ``x > 0``, the limit order, ``-B <= a <=
-A``, ``v <= vh`` and ``vl <= v``, and so are the comparisons of ``v + a*T``
-when ``a == 0``, where it is ``v`` itself. ``|k|*eps <= 1`` needs one
+``certified_controller_monitor`` is the controller monitor with a dynamic
+filter (Brönnimann, Burnikel & Pion 2001; Shewchuk 1997) in the same pass:
+it returns ``controller_monitor``'s verdict, computed by the same float
+expressions in the same clause order, and a certificate that is True only
+when ``Feas ∧ Go`` holds in real arithmetic on the given floats, False when
+the verdict fails or the filter cannot tell. Each clause is computed once,
+and the filter's margins reuse its values; only outside the speed limits
+does the margin of a distance clause sit beside ``go``'s own ``need``, since
+their expressions round differently. Point mode calls ``controller_monitor``
+alone: its float verdict needs no certificate, which costs about 0.3 µs a
+call.
+
+In the filter, clauses with no arithmetic are exact on floats: ``x > 0``, the
+limit order, ``-B <= a <= A``, ``v <= vh`` and ``vl <= v``, and so are the
+comparisons of ``v + a*T`` when ``a == 0``, where it is ``v`` itself. ``|k|*eps <= 1`` needs one
 product, and rounding is monotone, so a float product below 1 is a real one
 below 1. Every other clause is decided by its float margin ``D``, certified
 when ``D > 2**-48 * M``. The bound (Higham, ch. 3): each float operation
@@ -212,43 +221,71 @@ def controller_monitor(wp: RelWaypoint, v: float, a: float, p: Params) -> Monito
     return go(wp, v, a, p)
 
 
-def certified_pass(wp: RelWaypoint, v: float, a: float, p: Params) -> bool:
-    """True only when ``Feas ∧ Go`` holds in real arithmetic on these floats;
-    False means "cannot tell", not "fails" (module docstring)."""
+def certified_controller_monitor(wp: RelWaypoint, v: float, a: float,
+                                 p: Params) -> tuple[MonitorVerdict, bool]:
+    """``controller_monitor``'s verdict, from the same float expressions in the
+    same clause order, and whether a pass holds in real arithmetic on these
+    floats; False means "cannot tell" for a pass (module docstring)."""
     x, y, k, vl, vh = wp.x, wp.y, wp.k, wp.vl, wp.vh
     A, B, T, eps = p.accel_max, p.brake_max, p.cycle_max, p.tol
-    if not (x > 0.0 and 0.0 <= vl < vh < _INF and -B <= a <= A):
-        return False
     ak = abs(k)
     ke = ak * eps
-    if not ke < 1.0:
-        return False
+    if ke > 1.0:
+        return FAIL_ANN_SCALE, False
     xx, yy, ee = x * x, y * y, eps * eps
-    if not (eps - abs(k * (xx + yy - ee) * 0.5 - y)
-            > _ERR * ((ak * (xx + yy + ee + 3.0 * _LAM) + _LAM) * 0.5 + _LAM + abs(y) + eps)):
-        return False
-    gap = max(A, B) * T
-    if not vh - vl - gap > _ERR * (vh + vl + gap + _LAM):
-        return False
+    r = abs(k * (xx + yy - ee) * 0.5 - y)
+    if not r < eps:
+        return FAIL_ANN_BAND, False
+    if not x > 0.0:
+        return FAIL_AHEAD, False
+    if not (0.0 <= vl < vh < _INF):
+        return FAIL_LIMITS_ORDER, False
+    gap, at, bt = vh - vl, A * T, B * T
+    if not at <= gap:
+        return FAIL_LIMIT_GAP_A, False
+    if not bt <= gap:
+        return FAIL_LIMIT_GAP_B, False
+    if not (-B <= a <= A):
+        return FAIL_ACCEL_RANGE, False
     aT = a * T
     ve = v + aT
-    mv = abs(v) + abs(aT) + _LAM  # M of ve
-    if a == 0.0:  # ve is v itself
-        if not ve >= 0.0:
-            return False
-        up, lo = v <= vh, vl <= v
-    else:
+    if not ve >= 0.0:
+        return FAIL_NON_NEG_SPEED, False
+    up = v <= vh and ve <= vh
+    if not up:
+        bloat = 1.0 + ke
+        need = bloat * bloat * (v * T + aT * T * 0.5 + (ve * ve - vh * vh) / (2.0 * B)) + eps
+        if not (need <= abs(x) or need <= abs(y)):
+            return FAIL_UPPER_SPEED, False
+    lo = vl <= v and vl <= ve
+    if not lo:
+        bloat = 1.0 + ke
+        need = bloat * bloat * (v * T + aT * T * 0.5 + (vl * vl - ve * ve) / (2.0 * A)) + eps
+        if not (need <= abs(x) or need <= abs(y)):
+            return FAIL_LOWER_SPEED, False
+    # A pass in floats: certify each clause with arithmetic by its margin.
+    m = at if at >= bt else bt  # max(A, B) * T: rounding is monotone
+    if not (ke < 1.0
+            and eps - r > _ERR * ((ak * (xx + yy + ee + 3.0 * _LAM) + _LAM) * 0.5
+                                  + _LAM + abs(y) + eps)
+            and gap - m > _ERR * (vh + vl + m + _LAM)):
+        return PASS, False
+    # up and lo are exact when a == 0, where ve is v itself; else their
+    # comparisons of ve also need margins, which imply them.
+    if a != 0.0:
+        mv = abs(v) + abs(aT) + _LAM  # M of ve
         if not ve > _ERR * mv:
-            return False
-        up = v <= vh and vh - ve > _ERR * (vh + mv)
-        lo = vl <= v and ve - vl > _ERR * (mv + vl)
+            return PASS, False
+        up = up and vh - ve > _ERR * (vh + mv)
+        lo = lo and ve - vl > _ERR * (mv + vl)
     if up and lo:
-        return True
+        return PASS, True
+    mv = abs(v) + abs(aT) + _LAM
     side = max(abs(x), abs(y))
     bloat = 1.0 + ke
     b2, b2m = bloat * bloat, (bloat + _LAM) * (bloat + _LAM) + _LAM
-    # need = b2 * (v*T + (a*T*T + q) * 0.5) + eps, where q is twice the gap term;
-    # a name ending in _m is the M of the value it follows.
+    # The margin's need is b2 * (v*T + (a*T*T + q) * 0.5) + eps, where q is
+    # twice go's gap term; a name ending in _m is the M of the value it follows.
     run, run_m = v * T, abs(v) * T + _LAM
     att, att_m = aT * T, (abs(aT) + _LAM) * T + _LAM
     if not up:
@@ -256,14 +293,14 @@ def certified_pass(wp: RelWaypoint, v: float, a: float, p: Params) -> bool:
         q_m = (mv * mv + vh * vh + 2.0 * _LAM) / B + _LAM
         if not (side - (b2 * (run + (att + q) * 0.5) + eps)
                 > _ERR * (side + b2m * (run_m + (att_m + q_m) * 0.5 + _LAM) + _LAM + eps)):
-            return False
+            return PASS, False
     if not lo:
         q = (vl * vl - ve * ve) / A
         q_m = (vl * vl + mv * mv + 2.0 * _LAM) / A + _LAM
         if not (side - (b2 * (run + (att + q) * 0.5) + eps)
                 > _ERR * (side + b2m * (run_m + (att_m + q_m) * 0.5 + _LAM) + _LAM + eps)):
-            return False
-    return True
+            return PASS, False
+    return PASS, True
 
 
 def plant_monitor(wp: RelWaypoint, v: float, elapsed: float, p: Params) -> MonitorVerdict:

@@ -46,3 +46,30 @@ def test_per_layer_records_every_traced_run_and_its_median():
     layers = bench_pair.per_layer(traced, ["a", "b"])
     assert layers == {"a": {"parent": {"median": 2.0, "runs": [3.0, 1.0, 2.0]},
                             "change": {"median": 5.0, "runs": [5.0, 4.0, 9.0]}}}
+
+
+def test_bench_workload_adds_held_out_pairs_at_another_seed(monkeypatch):
+    spec = {"run_seconds": 30,
+            "end_to_end": [{"name": "throughput_per_s", "better": "higher", "bound": 0.2}],
+            "per_layer": [{"name": "layer"}]}
+    calls = []
+
+    def fake(tree, workload, seconds, trace, seed):
+        calls.append((tree, trace, seed))
+        value = (200.0 if tree == "change" else 100.0) + len(calls)
+        return {"metrics": {"throughput_per_s": {"value": value}, "layer": {"value": 1.0}},
+                "detail": {"fingerprint": {"seed": seed}}, "failed": 0, "attempted": 5}
+
+    monkeypatch.setattr(bench_pair, "perfbench", fake)
+    result = bench_pair.bench_workload({"parent": "parent", "change": "change"}, "w", spec)
+    assert [c[1:] for c in calls] == [(0, 1)] * 20 + [(1, 1)] * 6 + [(0, 2)] * 6
+    assert [c[0] for c in calls[26:]] == ["parent", "change", "change", "parent",
+                                          "parent", "change"]
+    held_out = result["held_out"]
+    assert held_out["seed"] == 2 and held_out["fingerprints_equal"]
+    throughput = held_out["end_to_end"]["throughput_per_s"]
+    assert throughput["pairs"] == 3 and throughput["verdict"] == "gain"
+    assert held_out["attempted"] == {"parent": 15, "change": 15}
+    # The seed-2 runs' fingerprint differs from seed 1's and is kept apart.
+    assert result["fingerprints_equal"] and result["fingerprint"] == {"seed": 1}
+    assert result["end_to_end"]["throughput_per_s"]["pairs"] == 10

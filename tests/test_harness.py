@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +12,15 @@ from waynet.dynamics import Disturbance
 from waynet.harness import (CONTROLLERS, ControllerProfile, EpisodeConfig, EpisodeReport,
                             LOG_HEADER, format_log, run_episode, summarize)
 from waynet.intervals import interval_eval_controller
-from waynet.monitor import Clause, certified_pass, controller_monitor, go
+from waynet.monitor import Clause, certified_controller_monitor, controller_monitor, go
 from waynet.plan import PlanGraph, gen_environment
-from waynet.verify import sample_compliant_state
 
 import monitor_ref
+
+_SPEC = importlib.util.spec_from_file_location(
+    "interval_cost", Path(__file__).resolve().parents[1] / "scripts" / "interval_cost.py")
+interval_cost = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(interval_cost)
 
 RECT = gen_environment("rect")
 
@@ -125,37 +131,18 @@ def test_interval_mode_matches_point_mode_on_clean_run():
     assert format_log(rows_i) == format_log(rows_p)
 
 
-def _float_boundary_states(seed):
-    """(wp, v, a, p) with ``a`` the largest float at which ``go`` passes, one
-    float below a failing ``a``, found by bisection between -B and A, for each
-    of 3,000 ``sample_compliant_state(require_go=False)`` draws where ``go``
-    passes at -B and fails at A."""
-    rng = random.Random(seed)
-    states = []
-    for _ in range(3000):
-        sample = sample_compliant_state(rng, require_go=False)
-        wp, v, p = sample.wp, sample.v, sample.p
-        lo, hi = -p.brake_max, p.accel_max
-        if go(wp, v, hi, p).passed or not go(wp, v, lo, p).passed:
-            continue
-        while (mid := lo + (hi - lo) / 2) not in (lo, hi):
-            lo, hi = (mid, hi) if go(wp, v, mid, p).passed else (lo, mid)
-        states.append((wp, v, lo, p))
-    return states
-
-
 @pytest.mark.parametrize("seed, boundary, inexact", [(0, 695, 451), (1, 657, 412)])
 def test_interval_gate_rejects_float_boundary_states(monkeypatch, seed, boundary, inexact):
     """At Go's float boundary the float monitor passes every state, but most
-    fail Go in exact arithmetic on the same floats. The filter certifies none
-    of them, and intervals, run on all of them, certify none either."""
-    states = _float_boundary_states(seed)
+    fail Go in exact arithmetic on the same floats. The one-pass gate certifies
+    none of them, and intervals, run on all of them, certify none either."""
+    states = interval_cost.float_boundary_states(seed)
     exact = [monitor_ref.exact_controller_monitor(*s) for s in states]
     assert len(states) == boundary
     assert all(controller_monitor(*s).passed for s in states)
     assert sum(not e.passed for e in exact) == inexact
     assert {e.failed_clause for e in exact if not e.passed} == {Clause.UPPER_SPEED}
-    assert sum(certified_pass(*s) for s in states) == 0
+    assert not any(certified_controller_monitor(*s)[1] for s in states)
     interval_calls = []
 
     def recording(*args):
@@ -170,22 +157,27 @@ def test_interval_gate_rejects_float_boundary_states(monkeypatch, seed, boundary
 
 
 def test_filter_certifies_every_pass_of_the_interval_batch(monkeypatch, capsys):
-    """The ``grid_interval`` batch at seed 1: the filter certifies all 1,938
-    float passes, cruising at ``v == vl`` with ``a == 0`` included, so no
-    call falls through to intervals."""
-    passes, interval_calls = [], []
+    """The ``grid_interval`` batch at seed 1: the gate's one pass certifies all
+    1,938 float passes, cruising at ``v == vl`` with ``a == 0`` included, so no
+    call falls through to intervals, and the gate never calls the point
+    monitor beside it."""
+    gated, point_calls, interval_calls = [], [], []
 
     def recording(*args):
-        passes.append(certified_pass(*args))
-        return passes[-1]
+        gated.append(certified_controller_monitor(*args))
+        return gated[-1]
 
-    monkeypatch.setattr(harness, "certified_pass", recording)
+    monkeypatch.setattr(harness, "certified_controller_monitor", recording)
+    monkeypatch.setattr(harness, "controller_monitor",
+                        lambda *args: point_calls.append(args))
     monkeypatch.setattr(harness, "interval_eval_controller",
                         lambda *args: interval_calls.append(args))
     assert cli.main(["simulate", "--env", "all", "--controller", "pd1,liveness,bangbang",
                      "--episodes", "2", "--disturbance", "0.1,0.002,0.1,0.1", "--seed", "1",
                      "--interval-mode"]) == 0
-    assert (len(passes), sum(passes), len(interval_calls)) == (1938, 1938, 0)
+    passes = [certified for verdict, certified in gated if verdict.passed]
+    assert (len(gated), len(passes), sum(passes)) == (1952, 1938, 1938)
+    assert (len(point_calls), len(interval_calls)) == (0, 0)
 
 
 def test_log_format():

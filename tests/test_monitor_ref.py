@@ -1,8 +1,9 @@
 """Differential tests: the flat monitor bodies of ``waynet.monitor`` name the
 same failing clause as the composed formulas of ``monitor_ref`` on finite,
 non-finite and tied states, and over ``Ivl`` boxes name the same clause or
-raise the same exception. The float filter ``certified_pass`` passes only
-states that ``monitor_ref`` passes in exact arithmetic."""
+raise the same exception. ``certified_controller_monitor`` returns the very
+verdict of ``controller_monitor``, and certifies only states that
+``monitor_ref`` passes in exact arithmetic."""
 
 import dataclasses
 import math
@@ -139,7 +140,7 @@ def test_monitor_bodies_take_no_defaulted_parameter():
     """No tuning knob rides on the decision path: every argument of a monitor
     is given at each call."""
     for fn in (monitor.feas, monitor.go, monitor.invariant_j, monitor.controller_monitor,
-               monitor.plant_monitor, monitor.certified_pass):
+               monitor.plant_monitor, monitor.certified_controller_monitor):
         assert fn.__defaults__ is None, fn.__qualname__
 
 
@@ -147,7 +148,7 @@ def test_monitor_bodies_look_up_no_enum_member():
     """Each verdict on the decision path is a global bound at import; an enum
     member read or a ``_fail`` call per verdict costs over ten times more."""
     for fn in (monitor.feas, monitor.go, monitor.invariant_j, monitor.controller_monitor,
-               monitor.plant_monitor, monitor.certified_pass, harness._gate,
+               monitor.plant_monitor, monitor.certified_controller_monitor, harness._gate,
                intervals.interval_eval_controller):
         names = set(fn.__code__.co_names)
         assert not names & {"Clause", "IntervalVerdict", "_fail"}, fn.__qualname__
@@ -168,15 +169,21 @@ def test_exact_oracle_computes_its_need_terms_in_fractions():
 def test_filter_certifies_cruising_at_a_limit(v):
     """At ``a == 0``, ``v + a*T`` is ``v`` itself, so its tie with a limit is
     exact and needs no margin."""
-    assert monitor.certified_pass(RelWaypoint(5.0, 0.1, 0.008, 1.0, 4.0), v, 0.0, _P)
+    assert monitor.certified_controller_monitor(RelWaypoint(5.0, 0.1, 0.008, 1.0, 4.0), v, 0.0,
+                                                _P) == (monitor.PASS, True)
 
 
 def _assert_certified_only_if_exact_pass(p, s):
+    """The one pass returns ``controller_monitor``'s own verdict, and certifies
+    only a pass that holds in exact arithmetic."""
     x, y, k, vl, vh, v, a = s[:7]
     wp = RelWaypoint(x, y, k, vl, vh)
-    if monitor.certified_pass(wp, v, a, p):
-        assert all(math.isfinite(f) for f in s[:7]), s
+    verdict, certified = monitor.certified_controller_monitor(wp, v, a, p)
+    assert verdict is monitor.controller_monitor(wp, v, a, p), (p, s)
+    if certified:
+        assert verdict.passed and all(math.isfinite(f) for f in s[:7]), s
         assert monitor_ref.exact_controller_monitor(wp, v, a, p).passed, (p, s)
+    return certified
 
 
 def _split(ok, lo, hi):
@@ -237,7 +244,7 @@ def test_filter_certifies_only_exact_passes(state, wide, kind):
 def test_filter_never_certifies_a_non_finite_field(state, field, bad):
     p, s = state
     s[field] = bad
-    assert not monitor.certified_pass(RelWaypoint(*s[:5]), s[5], s[6], p)
+    assert not _assert_certified_only_if_exact_pass(p, s)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
