@@ -4,17 +4,17 @@ There is one formula: ``interval_eval_controller`` runs
 ``waynet.monitor.controller_monitor`` itself with ``Ivl`` waypoint, speed and
 acceleration and with a ``Params`` of the four fields as point ``Ivl``s.
 
-Interval endpoints are floats. Each endpoint is rounded in its own direction
-(``lo`` down, ``hi`` up), and only when the float result is inexact: an
-error-free transform gives the exact rounding error of each operation --
-Knuth's TwoSum for ``+`` and ``-``, Dekker's TwoProduct (Veltkamp split by
-2**27 + 1) for ``*`` and squares, and the same product check of ``q*b == a``
-for ``/``. An endpoint whose error points the wrong way, or whose error is not
-known exactly (a product that overflows or lies below 2**-960, where its error
-may not be a float), steps one float outward with ``math.nextafter``; a
-round-to-nearest result is never more than that step from the exact one. An
-exact float result stays a point, so cruising at ``v = vl`` with ``a = 0``
-keeps ``v + a*T`` the point ``v`` and its limit comparison decided.
+Interval endpoints are finite floats. Each endpoint is rounded in its own
+direction (``lo`` down, ``hi`` up), and only when the float result is
+inexact: an error-free transform gives the exact rounding error of each
+operation -- Knuth's TwoSum for ``+`` and ``-``, Dekker's TwoProduct (Veltkamp
+split by 2**27 + 1) for ``*`` and squares, and the same product check of
+``q*b == a`` for ``/``. An endpoint whose error points the wrong way, or whose
+error is not known exactly (a product outside [2**-960, 2**960]), steps one
+float outward with ``math.nextafter``; a round-to-nearest result is never
+more than that step from the exact one. An exact float result stays a point,
+so cruising at ``v = vl`` with ``a = 0`` keeps ``v + a*T`` the point ``v``
+and its limit comparison decided.
 Every operation has one path: it converts an operand that is not an ``Ivl``
 with ``Ivl`` and rounds each endpoint with its own transform, so a point pays
 for two. Speed is not this stage's job: the harness's gate sends intervals
@@ -29,15 +29,10 @@ value in [2**-961, 2**-960) is below 2**-960 and steps outward where the
 quotient was exact, and one in (2**959, 2**960] stays exact where the
 quotient's check overflowed and stepped.
 
-An infinite endpoint bounds reals: every interval but a point infinity holds
-only reals, such as ``[max, inf]``, to which a real beyond the largest float
-converts. A point infinity is the float ``inf`` itself, and an operation on
-one keeps it a point (``inf + 1`` is ``inf``, not ``[max, inf]``), so it
-never turns into reals. So a point zero times any interval but a point
-infinity is the point zero. No endpoint is ever NaN:
-``Ivl`` rejects one, and an operation whose endpoint would otherwise be NaN
-(``inf - inf``, ``0`` times a point infinity, ``inf / inf``) raises
-``NaNInterval``. Like ``ZeroDivideInterval``, it makes the verdict Unknown.
+An infinity, a NaN or a real beyond the largest float raises
+``NonFiniteInterval``, as does a result with no finite float enclosure: an
+overflow, or a division by an interval containing zero. Like
+``monitor.Undecided``, it makes the verdict Unknown.
 
 An ``Ivl`` comparison returns ``True`` or ``False`` only when it holds, or
 fails, for every point of its operands, and raises ``monitor.Undecided``
@@ -53,7 +48,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 
 from waynet.core import Params, RelWaypoint
 from waynet.monitor import Undecided, controller_monitor
@@ -61,7 +55,6 @@ from waynet.monitor import Undecided, controller_monitor
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _TINY = 2.0 ** -960   # below this a product's rounding error may not be a float
 _HUGE = 2.0 ** 960    # above this the split may overflow
-_LARGEST = sys.float_info.max
 
 
 class IntervalVerdict(enum.Enum):
@@ -73,23 +66,16 @@ class IntervalVerdict(enum.Enum):
 DEFINITELY_TRUE, DEFINITELY_FALSE, UNKNOWN = IntervalVerdict
 
 
-class ZeroDivideInterval(ArithmeticError):
-    """Division by an interval containing zero; the enclosing clause is Unknown."""
-
-
-class NaNInterval(ArithmeticError):
-    """An endpoint would be NaN (inf - inf, 0 * inf); the enclosing clause is Unknown."""
+class NonFiniteInterval(ArithmeticError):
+    """No finite float enclosure (module docstring); the clause is Unknown."""
 
 
 def _sum(a: float, b: float) -> tuple[float, float]:
     """(lo, hi) enclosing the exact a + b: Knuth's TwoSum error is exact
-    whenever the sum is finite, and the sum of an infinite operand is that
-    infinity itself."""
+    whenever the sum is finite."""
     s = a + b
     t = s - a
     err = (a - (s - t)) + (b - t)
-    if err != err and (a == s or b == s):
-        return s, s
     return (s if err >= 0.0 else math.nextafter(s, -math.inf),
             s if err <= 0.0 else math.nextafter(s, math.inf))
 
@@ -97,7 +83,7 @@ def _sum(a: float, b: float) -> tuple[float, float]:
 def _prod(a: float, b: float) -> tuple[float, float]:
     """(lo, hi) enclosing the exact a * b. Dekker's TwoProduct error is exact
     for _TINY <= |a*b| <= _HUGE (NaN if the split overflows); outside that
-    range only an exact zero, or the infinity of an infinite operand, is kept."""
+    range only an exact zero is kept."""
     p = a * b
     if _TINY <= abs(p) <= _HUGE:
         c = _SPLIT * a
@@ -109,7 +95,7 @@ def _prod(a: float, b: float) -> tuple[float, float]:
         err = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
         return (p if err >= 0.0 else math.nextafter(p, -math.inf),
                 p if err <= 0.0 else math.nextafter(p, math.inf))
-    if p == 0.0 and (a == 0.0 or b == 0.0) or math.isinf(a) or math.isinf(b):
+    if p == 0.0 and (a == 0.0 or b == 0.0):
         return p, p
     return math.nextafter(p, -math.inf), math.nextafter(p, math.inf)
 
@@ -129,24 +115,25 @@ def _operand(x) -> Ivl:
 
 
 class Ivl:
-    """Closed interval [lo, hi] with float endpoints, neither of them NaN.
+    """Closed interval [lo, hi] with finite float endpoints.
 
-    Endpoints that are not floats (ints, Fractions) round outward; a real
-    beyond the largest float converts to the infinity of its sign first."""
+    Endpoints that are not floats (ints, Fractions) round outward."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi=None):
         if hi is None:
             hi = lo
-        flo = -math.inf if lo < -_LARGEST else math.inf if lo > _LARGEST else float(lo)
-        fhi = -math.inf if hi < -_LARGEST else math.inf if hi > _LARGEST else float(hi)
+        try:
+            flo, fhi = float(lo), float(hi)
+        except OverflowError:
+            raise NonFiniteInterval("an endpoint beyond the floats") from None
         if flo > lo:
             flo = math.nextafter(flo, -math.inf)
         if fhi < hi:
             fhi = math.nextafter(fhi, math.inf)
-        if flo != flo or fhi != fhi:
-            raise NaNInterval(f"NaN endpoint: [{lo}, {hi}]")
+        if not (math.isfinite(flo) and math.isfinite(fhi)):
+            raise NonFiniteInterval(f"non-finite endpoint: [{flo}, {fhi}]")
         if flo > fhi:
             raise ValueError(f"malformed interval: lo={lo} > hi={hi}")
         self.lo = flo
@@ -168,33 +155,27 @@ class Ivl:
     def __mul__(self, other):
         o = _operand(other)
         a, b, c, d = self.lo, self.hi, o.lo, o.hi
-        # Only the endpoint products that bound the result, by sign case, so
-        # 0 * inf is computed only where it would be an endpoint.
-        try:
-            if a >= 0.0:
-                if c >= 0.0:
-                    return Ivl(_prod(a, c)[0], _prod(b, d)[1])
-                if d <= 0.0:
-                    return Ivl(_prod(b, c)[0], _prod(a, d)[1])
-                return Ivl(_prod(b, c)[0], _prod(b, d)[1])
-            if b <= 0.0:
-                if c >= 0.0:
-                    return Ivl(_prod(a, d)[0], _prod(b, c)[1])
-                if d <= 0.0:
-                    return Ivl(_prod(b, d)[0], _prod(a, c)[1])
-                return Ivl(_prod(a, d)[0], _prod(a, c)[1])
+        # Only the endpoint products that bound the result, by sign case.
+        if a >= 0.0:
             if c >= 0.0:
-                return Ivl(_prod(a, d)[0], _prod(b, d)[1])
+                return Ivl(_prod(a, c)[0], _prod(b, d)[1])
             if d <= 0.0:
-                return Ivl(_prod(b, c)[0], _prod(a, c)[1])
-            if other is self:  # a square straddling zero
-                return Ivl(0.0, max(_prod(a, c)[1], _prod(b, d)[1]))
-            return Ivl(min(_prod(a, d)[0], _prod(b, c)[0]),
-                       max(_prod(a, c)[1], _prod(b, d)[1]))
-        except NaNInterval:  # 0 * inf as an endpoint (module docstring)
-            if a == b == 0.0 and c != d or c == d == 0.0 and a != b:
-                return Ivl(0.0)
-            raise
+                return Ivl(_prod(b, c)[0], _prod(a, d)[1])
+            return Ivl(_prod(b, c)[0], _prod(b, d)[1])
+        if b <= 0.0:
+            if c >= 0.0:
+                return Ivl(_prod(a, d)[0], _prod(b, c)[1])
+            if d <= 0.0:
+                return Ivl(_prod(b, d)[0], _prod(a, c)[1])
+            return Ivl(_prod(a, d)[0], _prod(a, c)[1])
+        if c >= 0.0:
+            return Ivl(_prod(a, d)[0], _prod(b, d)[1])
+        if d <= 0.0:
+            return Ivl(_prod(b, c)[0], _prod(a, c)[1])
+        if other is self:  # a square straddling zero
+            return Ivl(0.0, max(_prod(a, c)[1], _prod(b, d)[1]))
+        return Ivl(min(_prod(a, d)[0], _prod(b, c)[0]),
+                   max(_prod(a, c)[1], _prod(b, d)[1]))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -206,7 +187,7 @@ class Ivl:
         o = _operand(other)
         c, d = o.lo, o.hi
         if c <= 0.0 <= d:
-            raise ZeroDivideInterval(f"division by [{c}, {d}]")
+            raise NonFiniteInterval(f"division by [{c}, {d}]")
         if d < 0.0:
             return -(self / -o)
         a, b = self.lo, self.hi
@@ -256,10 +237,10 @@ class Ivl:
 def interval_eval_controller(x: Ivl, y: Ivl, k: Ivl, vl: Ivl, vh: Ivl,
                              v: Ivl, a: Ivl, p: Params) -> IntervalVerdict:
     """Evaluate the controller monitor (feasibility and admissibility) over a
-    box of states; conservative in the fail-safe direction."""
+    box of states: Unknown on an undecided comparison or a non-finite result."""
     try:
         pp = Params(Ivl(p.accel_max), Ivl(p.brake_max), Ivl(p.cycle_max), Ivl(p.tol))
         verdict = controller_monitor(RelWaypoint(x, y, k, vl, vh), v, a, pp)
-    except (Undecided, ZeroDivideInterval, NaNInterval):
+    except (Undecided, NonFiniteInterval):
         return UNKNOWN
     return DEFINITELY_TRUE if verdict.passed else DEFINITELY_FALSE

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from waynet import intervals
 from waynet.core import Params, RelWaypoint
-from waynet.intervals import (IntervalVerdict, Ivl, NaNInterval, ZeroDivideInterval,
-                              interval_eval_controller)
+from waynet.intervals import IntervalVerdict, Ivl, NonFiniteInterval, interval_eval_controller
 from waynet.monitor import Undecided, controller_monitor
 from waynet.verify import sample_compliant_state
+
+import monitor_ref
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
 
@@ -29,8 +30,9 @@ def degenerate(x, y, k, vl, vh, v, a):
 # range, magnitudes within [2**-300, 2**300] (or zero), no product or quotient
 # leaves the range in which the interval operations detect an exact result,
 # so an exact float result must stay a point. Over every finite float, from
-# the subnormals to the largest, results may overflow, underflow or lose the
-# exact error check, and must still enclose the exact result.
+# the subnormals to the largest, results may underflow or lose the exact error
+# check, and must still enclose the exact result with finite endpoints; a
+# result with no finite enclosure raises NonFiniteInterval.
 _MAGNITUDE = st.floats(min_value=2.0 ** -300, max_value=2.0 ** 300)
 _FLOAT = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(operator.neg),
                    st.sampled_from([0.1, 0.2, 0.5, 1.0, 2.0, 3.0, -0.5]))
@@ -38,6 +40,9 @@ _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _LARGEST = sys.float_info.max
 _SMALLEST = math.ulp(0.0)
+# A product or quotient beyond 2**960 steps outward from its float, so one
+# whose exact value rounds to the largest float steps to an infinity.
+_NEAR_LARGEST = math.nextafter(_LARGEST, 0.0)
 
 
 def _is_float(q: Fraction) -> bool:
@@ -66,32 +71,45 @@ def _ivls(floats):
     return draw_ivl()
 
 
+def _finite_enclosure(call, exacts):
+    """call()'s result, whose finite endpoints enclose every exact result, or
+    None when it raised NonFiniteInterval, which only an exact result beyond
+    the second largest float allows."""
+    try:
+        result = call()
+    except NonFiniteInterval:
+        assert max(map(abs, exacts)) > _NEAR_LARGEST, exacts
+        return None
+    assert math.isfinite(result.lo) and math.isfinite(result.hi), result
+    assert all(_encloses(result, q) for q in exacts), (result, exacts)
+    return result
+
+
 def _assert_binary_encloses(x: Ivl, y: Ivl, name: str):
     """x op y encloses op over every endpoint pair; returns the result and the
-    exact result of the last pair, or None when division by zero raised."""
+    exact result of the last pair, or None when it raised NonFiniteInterval:
+    always for a divisor containing zero, else only past the largest float."""
     op = _BINARY[name]
     if name == "/" and y.lo <= 0.0 <= y.hi:
-        with pytest.raises(ZeroDivideInterval):
+        with pytest.raises(NonFiniteInterval):
             op(x, y)
         return None
-    result = op(x, y)
-    for a in {x.lo, x.hi}:
-        for b in {y.lo, y.hi}:
-            exact = op(Fraction(a), Fraction(b))
-            assert _encloses(result, exact), (a, name, b, result)
-    return result, exact
+    exacts = [op(Fraction(a), Fraction(b)) for a in {x.lo, x.hi} for b in {y.lo, y.hi}]
+    result = _finite_enclosure(lambda: op(x, y), exacts)
+    return None if result is None else (result, exacts[-1])
 
 
 def _assert_square_and_abs_enclose(x: Ivl):
     """x * x and abs(x) enclose their exact images; returns
-    (result, exact image of x.lo) for each."""
+    (result, exact image of x.lo) for each that did not raise."""
     checked = []
-    for result, fn in ((x * x, lambda q: q * q), (abs(x), abs)):
+    for call, fn in ((lambda: x * x, lambda q: q * q), (lambda: abs(x), abs)):
         images = [fn(Fraction(e)) for e in (x.lo, x.hi)]
         if x.lo <= 0.0 <= x.hi:
             images.append(Fraction(0))
-        assert all(_encloses(result, q) for q in images), (x, result)
-        checked.append((result, images[0]))
+        result = _finite_enclosure(call, images)
+        if result is not None:
+            checked.append((result, images[0]))
     return checked
 
 
@@ -111,8 +129,11 @@ def test_binary_ops_enclose_the_exact_result(x, y, name):
 
 @settings(max_examples=1000)
 @given(_ivls(_ANY_FLOAT), _ivls(_ANY_FLOAT), st.sampled_from(sorted(_BINARY)))
-@example(Ivl(_LARGEST), Ivl(_LARGEST), "+")             # sum overflows
+@example(Ivl(_LARGEST), Ivl(_LARGEST), "+")             # sum overflows: raises
 @example(Ivl(-_LARGEST), Ivl(_LARGEST), "-")
+@example(Ivl(_LARGEST), Ivl(-1.0), "-")                 # rounds to the largest, exact above it
+@example(Ivl(_LARGEST), Ivl(1.0), "*")                  # exact, but steps outward to inf
+@example(Ivl(_LARGEST), Ivl(math.nextafter(1.0, 0.0)), "*")
 @example(Ivl(2.0 ** 1000), Ivl(2.0 ** -100), "*")       # Veltkamp split overflows
 @example(Ivl(-(2.0 ** 1000)), Ivl(2.0 ** -90, 3.0), "*")
 @example(Ivl(1e300), Ivl(1e300), "*")                   # product overflows
@@ -122,6 +143,7 @@ def test_binary_ops_enclose_the_exact_result(x, y, name):
 @example(Ivl(1.5 * 2.0 ** -960), Ivl(0.5), "*")         # halved below 2**-960
 @example(Ivl(1.5 * 2.0 ** 960), Ivl(0.5), "*")          # halved just below 2**960
 @example(Ivl(1e308), Ivl(1e-10), "/")                   # quotient overflows
+@example(Ivl(-_LARGEST, _LARGEST), Ivl(0.5, 2.0), "/")
 @example(Ivl(_SMALLEST), Ivl(3.0), "/")                 # quotient underflows
 @example(Ivl(-(2.0 ** -1000)), Ivl(2.0 ** 30, _LARGEST), "/")
 def test_binary_ops_enclose_the_exact_result_over_all_finite_floats(x, y, name):
@@ -193,7 +215,7 @@ def test_box_endpoints_are_the_rounded_exact_extremes(x, y, name):
         if x.lo <= 0.0 <= x.hi:
             images.append(Fraction(0))
     elif name == "/" and y.lo <= 0.0 <= y.hi:
-        with pytest.raises(ZeroDivideInterval):
+        with pytest.raises(NonFiniteInterval):
             x / y
         return
     else:
@@ -211,19 +233,17 @@ def test_box_endpoints_are_the_rounded_exact_extremes(x, y, name):
 
 
 # The monitor body mixes reals into interval arithmetic (``2.0 * Ivl``,
-# ``1.0 + Ivl``, ``Ivl * 0.5``). A float, int or Fraction operand, on either
-# side, acts as its point interval ``Ivl(other)``: the same endpoints, or the
-# same exception. A result from finite operands encloses the exact result,
-# and only a division of them can raise: a real beyond the floats converts to
-# an interval with an infinite endpoint, which bounds reals, so a point zero
-# times it is the exact zero.
+# ``1.0 + Ivl``, ``Ivl * 0.5``). A finite float, int or Fraction operand
+# within the floats, on either side, acts as its point interval
+# ``Ivl(other)``: the same endpoints, or the same exception. The result
+# encloses the exact result, and raises only for a divisor containing zero or
+# an exact result past the largest float.
 _REAL = st.one_of(
-    st.floats(allow_nan=False),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, _SMALLEST, -_SMALLEST,
-                     _LARGEST, -_LARGEST, 0.5, 2.0]),
-    st.integers(min_value=-(10 ** 400), max_value=10 ** 400),
-    st.fractions(),
-    st.sampled_from([Fraction(1, 3), Fraction(-(10 ** 400), 3), Fraction(1, 10 ** 400)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, _SMALLEST, -_SMALLEST, _LARGEST, -_LARGEST, 0.5, 2.0]),
+    st.integers(min_value=-int(_LARGEST), max_value=int(_LARGEST)),
+    st.fractions(min_value=-Fraction(_LARGEST), max_value=Fraction(_LARGEST)),
+    st.sampled_from([Fraction(1, 3), Fraction(-int(_LARGEST), 3), Fraction(1, 10 ** 400)]),
 )
 _MIXED = [(name, reflected) for name in ("+", "-", "*") for reflected in (False, True)]
 _MIXED.append(("/", False))
@@ -232,13 +252,13 @@ _MIXED.append(("/", False))
 def _outcome(call):
     try:
         result = call()
-    except (NaNInterval, ZeroDivideInterval) as exc:
+    except NonFiniteInterval as exc:
         return type(exc)
     return result.lo, result.hi
 
 
 @settings(derandomize=True, max_examples=1500, deadline=None)
-@given(_ivls(st.floats(allow_nan=False)), _REAL, st.sampled_from(_MIXED))
+@given(_ivls(_ANY_FLOAT), _REAL, st.sampled_from(_MIXED))
 @example(Ivl(0.1, 0.3), 2.0, ("*", True))
 @example(Ivl(0.1, 0.3), 1.0, ("+", True))
 @example(Ivl(0.1, 0.3), 0.5, ("*", False))
@@ -246,28 +266,28 @@ def _outcome(call):
 @example(Ivl(1.0, 2.0), Fraction(1, 3), ("-", True))
 @example(Ivl(-1.0, 2.0), Fraction(1, 3), ("/", False))
 @example(Ivl(0.0), -0.0, ("*", True))
-@example(Ivl(-math.inf, 0.0), math.inf, ("+", True))
 @example(Ivl(_SMALLEST, _LARGEST), -_LARGEST, ("*", False))
-@example(Ivl(0.0), 10 ** 400, ("*", False))
-@example(Ivl(0.0), 10 ** 400, ("*", True))
-@example(Ivl(-0.0), -(10 ** 400), ("*", True))
-@example(Ivl(0.0), Fraction(10 ** 400, 3), ("*", False))
-@example(Ivl(0.0), Fraction(-(10 ** 400), 3), ("*", True))
+@example(Ivl(0.0), int(_LARGEST), ("*", True))
+@example(Ivl(1.0, 2.0), Fraction(1, 10 ** 400), ("/", False))
+@example(Ivl(_LARGEST), int(_LARGEST), ("+", True))
 def test_real_operands_act_as_their_point_interval(x, other, case):
     name, reflected = case
     op = _BINARY[name]
     outcome = _outcome(lambda: op(other, x) if reflected else op(x, other))
     assert outcome == _outcome(lambda: op(Ivl(other), x) if reflected else op(x, Ivl(other))), \
         (x, name, other, reflected, outcome)
-    finite = math.isfinite(x.lo) and math.isfinite(x.hi) and (
-        type(other) is not float or math.isfinite(other))
-    if finite and name != "/":
-        assert type(outcome) is tuple, (x, name, other, reflected, outcome)
-    if type(outcome) is tuple and finite:
-        for e in (x.lo, x.hi):
-            a, b = Fraction(e), Fraction(other)
-            exact = op(b, a) if reflected else op(a, b)
-            assert outcome[0] <= exact <= outcome[1], (x, name, other, reflected, outcome)
+    divisor = Ivl(other)
+    if name == "/" and divisor.lo <= 0.0 <= divisor.hi:
+        assert outcome is NonFiniteInterval, (x, other, outcome)
+        return
+    b = Fraction(other)
+    exacts = [op(b, Fraction(e)) if reflected else op(Fraction(e), b) for e in (x.lo, x.hi)]
+    if outcome is NonFiniteInterval:
+        assert max(map(abs, exacts)) > _NEAR_LARGEST, (x, name, other, reflected)
+    else:
+        assert math.isfinite(outcome[0]) and math.isfinite(outcome[1]), outcome
+        assert all(outcome[0] <= q <= outcome[1] for q in exacts), \
+            (x, name, other, reflected, outcome)
 
 
 class TestIvl:
@@ -283,7 +303,7 @@ class TestIvl:
 
     def test_nan_endpoint_rejected(self):
         for lo, hi in ((math.nan, None), (0.0, math.nan), (math.nan, 1.0)):
-            with pytest.raises(NaNInterval):
+            with pytest.raises(NonFiniteInterval):
                 Ivl(lo, hi)
 
     @pytest.mark.parametrize("expr", [
@@ -293,23 +313,29 @@ class TestIvl:
         lambda: Ivl(math.inf) / Ivl(1.0, math.inf),
     ])
     def test_nan_endpoint_raises(self, expr):
-        with pytest.raises(NaNInterval):
+        with pytest.raises(NonFiniteInterval):
             expr()
 
-    def test_overflow_encloses(self):
-        big = Ivl(1e308) + Ivl(1e308)
-        assert big.lo == math.nextafter(math.inf, 0.0) and big.hi == math.inf
+    def test_overflow_raises_and_underflow_encloses(self):
+        for overflow in (lambda: Ivl(1e308) + Ivl(1e308), lambda: Ivl(-1e200) * Ivl(1e200),
+                         lambda: Ivl(1e308) / Ivl(1e-10)):
+            with pytest.raises(NonFiniteInterval):
+                overflow()
         tiny = Ivl(1e-200) * Ivl(1e-200)
         assert tiny.lo < 0.0 < tiny.hi
 
-    @pytest.mark.parametrize("big", [10 ** 400, Fraction(10 ** 400, 3)])
-    def test_reals_beyond_the_floats_round_to_an_infinity(self, big):
-        up = (_LARGEST, math.inf)
-        assert (Ivl(big).lo, Ivl(big).hi) == up
-        assert (Ivl(-big).lo, Ivl(-big).hi) == (-math.inf, -_LARGEST)
-        assert (Ivl(0.0, big).lo, Ivl(0.0, big).hi) == (0.0, math.inf)
-        s = Ivl(1.0) + big
-        assert (s.lo, s.hi) == up
+    @pytest.mark.parametrize("big", [10 ** 400, Fraction(10 ** 400, 3)], ids=["int", "fraction"])
+    def test_reals_beyond_the_floats_raise(self, big):
+        """Also where the exact result is finite: a point zero times such a
+        real raises, as an infinity does."""
+        near = int(_LARGEST) + int(math.ulp(_LARGEST)) // 4  # float() gives the largest
+        for build in (lambda: Ivl(big), lambda: Ivl(-big), lambda: Ivl(0.0, big),
+                      lambda: Ivl(1.0) + big, lambda: Ivl(0.0) * big, lambda: big * Ivl(-0.0),
+                      lambda: Ivl(near), lambda: Ivl(-near, 0.0),
+                      lambda: Ivl(big * 10 ** 5000)):  # more digits than str() will print
+            with pytest.raises(NonFiniteInterval):
+                build()
+        assert (Ivl(int(_LARGEST)).lo, Ivl(int(_LARGEST)).hi) == (_LARGEST, _LARGEST)
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
@@ -348,7 +374,7 @@ class TestIvl:
         assert (a.lo, a.hi) == (0, 3)
 
     def test_division_by_zero_interval_raises(self):
-        with pytest.raises(ZeroDivideInterval):
+        with pytest.raises(NonFiniteInterval):
             Ivl(1) / Ivl(-1, 1)
 
     def test_sub_and_neg(self):
@@ -399,21 +425,28 @@ _PASSING = (12.0, 0.0, 0.0, 1.0, 2.0, 1.5, 0.0)
 
 
 @given(st.integers(min_value=0, max_value=6),
-       st.sampled_from([(math.inf, math.inf), (-math.inf, -math.inf),
-                        (None, math.inf), (-math.inf, None)]))
-def test_infinite_endpoint_is_never_certified_and_never_raises(field, ends):
-    """A point infinity is the float inf, and no field of the passing state is
-    certified when it is one. An interval with one infinite endpoint holds
-    only reals (``waynet.intervals``), and is certified only where every real
-    of it passes: ``x`` in [12, inf) on the straight ``k = 0``, whose squares
-    are multiplied by the point zero ``k``."""
+       st.sampled_from([(_LARGEST, _LARGEST), (-_LARGEST, -_LARGEST),
+                        (None, _LARGEST), (-_LARGEST, None)]))
+def test_fields_at_the_largest_float_are_decided_soundly_and_never_raise(field, ends):
+    """A field at or out to the largest float is no error: an intermediate
+    that overflows makes the verdict Unknown, and a decided verdict is the
+    exact oracle's at both ends of the field. ``x`` or ``y`` out to the
+    largest float is Unknown, even on the straight ``k = 0``, since its
+    square overflows before the point zero ``k`` multiplies it."""
     assert interval_eval_controller(*degenerate(*_PASSING), P) is IntervalVerdict.DEFINITELY_TRUE
     fields = degenerate(*_PASSING)
     lo, hi = ends
     fields[field] = Ivl(_PASSING[field] if lo is None else lo,
                         _PASSING[field] if hi is None else hi)
-    certified = interval_eval_controller(*fields, P) is IntervalVerdict.DEFINITELY_TRUE
-    assert certified is (field == 0 and ends == (None, math.inf))
+    verdict = interval_eval_controller(*fields, P)
+    if field in (0, 1):
+        assert verdict is IntervalVerdict.UNKNOWN
+    if verdict is not IntervalVerdict.UNKNOWN:
+        for end in (fields[field].lo, fields[field].hi):
+            s = list(_PASSING)
+            s[field] = end
+            exact = monitor_ref.exact_controller_monitor(RelWaypoint(*s[:5]), s[5], s[6], P)
+            assert exact.passed is (verdict is IntervalVerdict.DEFINITELY_TRUE), (field, ends)
 
 
 def _random_state(rng):

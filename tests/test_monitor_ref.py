@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from waynet import harness, intervals, monitor
 from waynet.core import Params, RelWaypoint
-from waynet.intervals import Ivl, NaNInterval, ZeroDivideInterval
+from waynet.intervals import Ivl, NonFiniteInterval
 from waynet.monitor import Undecided
 from waynet.plan import curvature_through
 from waynet.verify import sample_compliant_state
@@ -119,7 +119,7 @@ def _box_outcome(formula, box, p):
     point_p = Params(Ivl(p.accel_max), Ivl(p.brake_max), Ivl(p.cycle_max), Ivl(p.tol))
     try:
         return formula(RelWaypoint(*box[:5]), box[5], box[6], point_p).failed_clause
-    except (Undecided, ZeroDivideInterval, NaNInterval) as exc:
+    except (Undecided, NonFiniteInterval) as exc:
         return type(exc)
 
 
@@ -242,9 +242,15 @@ def test_filter_certifies_only_exact_passes(state, wide, kind):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_states(), st.integers(0, 6), st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_filter_never_certifies_a_non_finite_field(state, field, bad):
+    """Nor does the gate pass one, or build an ``Ivl`` of it, which would
+    raise: the float verdict fails, and the gate returns it."""
     p, s = state
     s[field] = bad
     assert not _assert_certified_only_if_exact_pass(p, s)
+    wp, v, a = RelWaypoint(*s[:5]), s[5], s[6]
+    verdict = monitor.controller_monitor(wp, v, a, p)
+    assert not verdict.passed
+    assert harness._gate(wp, v, a, p) is verdict
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
