@@ -11,8 +11,8 @@ target is the next cycle's input to target extraction.
 
 An episode ends at a terminal node (completed), at a dead end, after
 ``max_cycles``, or as stuck at the first cycle that leaves the loop state (v,
-pose, target, pending fallback, pd's residual memory, goal-region hint) as it
-found it. Such a cycle moved nothing, so its jittered duration changed only
+pose, target, pending fallback, the controller's memory, goal-region hint) as
+it found it. Such a cycle moved nothing, so its jittered duration changed only
 the elapsed time; the branch policy, the one other input, runs only when the
 target moves to another edge. Every later cycle would repeat it.
 
@@ -46,30 +46,47 @@ from waynet.plan import DEFAULT_SCALES  # re-exported: each built-in course's sc
 DEFAULT_PARAMS = Params(accel_max=3.0, brake_max=3.0, cycle_max=0.5, tol=1.0)
 
 
-@dataclass(frozen=True)
-class ControllerProfile:
-    """Tuning of one untrusted controller: steering law plus target-speed
-    margin inside the limit interval."""
-
-    kind: str              # "bangbang" | "pd" | "liveness" | "adversarial"
-    speed_frac: float      # target speed = vl + speed_frac * (vh - vl)
-    kp: float = 0.0
-    kd: float = 0.0
-    k_max: float = 2.0
-
-    def __post_init__(self):
-        if not (self.kp >= 0.0 and self.kd >= 0.0 and self.k_max > 0.0):
-            raise ValueError(f"need kp, kd >= 0 and k_max > 0, got kp={self.kp!r}, "
-                             f"kd={self.kd!r}, k_max={self.k_max!r}")
+def _pd(speed_frac: float, kp: float, kd: float, k_max: float = 2.0):
+    """PD steering on the band residual of the in-force target, and the
+    largest admissible acceleration toward vl + speed_frac * (vh - vl)."""
+    def law(wp, wp_decl, v, p, prev_e):
+        # Gain scheduling: the band residual's per-cycle sensitivity to a
+        # curvature change grows like v*x*T, so normalize the gains by it to
+        # keep the discrete loop stable across course scales and speeds.
+        scale = 1.0 + v * max(wp.x, 0.0) * p.cycle_max
+        e = ann_residual(wp.x, wp.y, wp.k, p.tol)
+        k = pd(e, prev_e, p.cycle_max, wp.k, kp / scale, kd / scale, k_max)
+        return k, choose_accel(wp_decl, v, p, wp.vl + speed_frac * (wp.vh - wp.vl)), e
+    return law
 
 
+def _bangbang(wp, wp_decl, v, p, memory):
+    """Bang-bang steering 0.3 1/m off the segment curvature outside a deadband
+    of tol/5, and the largest admissible acceleration toward mid-limits."""
+    k = bang_bang(wp.x, wp.y, wp.k, p.tol, 0.2 * p.tol, 0.3)
+    return k, choose_accel(wp_decl, v, p, wp.vl + 0.5 * (wp.vh - wp.vl)), memory
+
+
+def _liveness(wp, wp_decl, v, p, memory):
+    """The reference speed law on the declared (residual-zeroing) arc."""
+    return wp_decl.k, liveness_accel(v, wp.vl, wp.vh, p.accel_max, p.brake_max), memory
+
+
+def _adversarial(wp, wp_decl, v, p, memory):
+    """Full acceleration on the declared arc, whatever the speed limits."""
+    return wp_decl.k, p.accel_max, memory
+
+
+# Each controller is one law: (in-force target, declared target, v, Params,
+# memory) -> (steering curvature, proposed acceleration, memory), a pure
+# function that keeps state only in the memory it returns (the stuck rule).
 PROFILES = {
-    "bangbang": ControllerProfile("bangbang", speed_frac=0.5, k_max=0.3),
-    "pd1": ControllerProfile("pd", speed_frac=0.45, kp=0.6, kd=0.3),
-    "pd2": ControllerProfile("pd", speed_frac=0.60, kp=0.9, kd=0.3),
-    "pd3": ControllerProfile("pd", speed_frac=0.85, kp=1.4, kd=0.3),
-    "liveness": ControllerProfile("liveness", speed_frac=0.5),
-    "adversarial": ControllerProfile("adversarial", speed_frac=1.0),
+    "bangbang": _bangbang,
+    "pd1": _pd(0.45, kp=0.6, kd=0.3),
+    "pd2": _pd(0.60, kp=0.9, kd=0.3),
+    "pd3": _pd(0.85, kp=1.4, kd=0.3),
+    "liveness": _liveness,
+    "adversarial": _adversarial,
 }
 
 CONTROLLERS = tuple(PROFILES)
@@ -168,31 +185,11 @@ def _gate(wp: RelWaypoint, v: float, a: float, p: Params) -> MonitorVerdict:
     return verdict if iv is DEFINITELY_TRUE else FAIL_INTERVAL_UNDECIDED
 
 
-def _steering(profile: ControllerProfile, wp: RelWaypoint, k_decl: float, v: float,
-              p: Params, prev_e: float):
-    """Steering command toward wp and updated residual memory for one cycle."""
-    eps = p.tol
-    if profile.kind == "bangbang":  # deadband: a fifth of the goal radius
-        return bang_bang(wp.x, wp.y, wp.k, eps, 0.2 * eps, profile.k_max), 0.0
-    if profile.kind == "pd":
-        # Gain scheduling: the band residual's per-cycle sensitivity to a
-        # curvature change grows like v*x*T, so normalize the gains by it to
-        # keep the discrete loop stable across course scales and speeds. The
-        # scale is at least 1, so the profile's checks cover the scaled gains.
-        scale = 1.0 + v * max(wp.x, 0.0) * p.cycle_max
-        e = ann_residual(wp.x, wp.y, wp.k, eps)
-        return pd(e, prev_e, p.cycle_max, wp.k, profile.kp / scale, profile.kd / scale,
-                  profile.k_max), e
-    # liveness and adversarial steer the declared (residual-zeroing) curvature.
-    return k_decl, 0.0
-
-
 def run_episode(cfg: EpisodeConfig):
     """Run one monitored episode. Returns (EpisodeReport, list[LogRow])."""
     p = cfg.params
     graph = cfg.plan
-    profile = PROFILES[cfg.controller]
-    kind, disturbance = profile.kind, cfg.disturbance
+    control, disturbance = PROFILES[cfg.controller], cfg.disturbance
     monitoring, interval_mode = cfg.monitoring, cfg.interval_mode
     collect_log, max_cycles = cfg.collect_log, cfg.max_cycles
     rng = random.Random(cfg.seed)
@@ -232,14 +229,7 @@ def run_episode(cfg: EpisodeConfig):
         wp_decl = RelWaypoint(wp_seg.x, wp_seg.y, k_decl, wp_seg.vl, wp_seg.vh)
 
         # Untrusted proposal.
-        if kind == "liveness":
-            a_prop = liveness_accel(v, wp_seg.vl, wp_seg.vh, p.accel_max, p.brake_max)
-        elif kind == "adversarial":
-            a_prop = p.accel_max
-        else:
-            target_speed = wp_seg.vl + profile.speed_frac * (wp_seg.vh - wp_seg.vl)
-            a_prop = choose_accel(wp_decl, v, p, target_speed)
-        k_steer, prev_e = _steering(profile, wp_seg, k_decl, v, p, prev_e)
+        k_steer, a_prop, prev_e = control(wp_seg, wp_decl, v, p, prev_e)
 
         # Gate the proposal; fall back on rejection or on a pending plant failure.
         if pending_fallback:

@@ -513,6 +513,35 @@ _INTERVAL_GRID_DIGESTS = {
 }
 
 
+# The same check for the three controllers the grids above leave out,
+# recorded at commit 643014b, before any edit to the controllers, so that a
+# retuned or swapped PD law shows here.
+_PD_GRID_ARGV = ["simulate", "--env", "all", "--controller", "pd2,pd3,adversarial",
+                 "--episodes", "2", "--disturbance", "0.1,0.002,0.1,0.1", "--seed", "1"]
+_PD_GRID_DIGESTS = {
+    "ep_clover_adversarial_0000.csv": "899b0e7c897de9b7900f8712cf546258c74fb42bf3b5e5bd978a84f8ea9ab213",
+    "ep_clover_adversarial_0001.csv": "3d9f36d06af6cd9db7ad6d917ab2e99545a27b4231635560b290f48461d95250",
+    "ep_clover_pd2_0000.csv": "05161c55ea9dcad33037f2e00dd24ec0d6d0a07db8b7c11b5e9d01ce98be631d",
+    "ep_clover_pd2_0001.csv": "d881452cc570db6400d9edaff09b56823b5d64e974ada154c450be9eaa8d2e8d",
+    "ep_clover_pd3_0000.csv": "c97d2df49255403c53c181b1723e76043264e10da149b73b29833aa50bc56543",
+    "ep_clover_pd3_0001.csv": "d215f491be22039a0067a7187d36d5264b2cd5a508b57e29c2eda2045a226176",
+    "ep_rect_adversarial_0000.csv": "c57b4123ce67389e26acffed2c65664752ea79ea80ee4df7a2a3ffebf3a7421e",
+    "ep_rect_adversarial_0001.csv": "c640311a86c25382c70741dcc364df09342acc25f2d951259bdd8e2b02663300",
+    "ep_rect_pd2_0000.csv": "8afe28b153747c0df30c369736d3cd1a9de6c1215d1b09fe87d3e689e784f272",
+    "ep_rect_pd2_0001.csv": "53dd82719f56bebad97c8384a04a21ed992dba4735686720bb1493e6aab9ca35",
+    "ep_rect_pd3_0000.csv": "c1b116fb40091722ed3e0c522b3373b4dbd35efa88e9d70d43ccc2bf22eed6b1",
+    "ep_rect_pd3_0001.csv": "1b4d20fc62c21547ec98f4b07b487a4dce4e0da6d71c4577d61c9f28e8bb4a6b",
+    "ep_turns_adversarial_0000.csv": "9025ebad204acddb48b88e21413fd00751866345ac1e5d942c63fd493a63a3a2",
+    "ep_turns_adversarial_0001.csv": "0ac9f2e1eb3725ed5b87a7e712ea236171c06e8d651b8e168c4672c825093b1b",
+    "ep_turns_pd2_0000.csv": "470e31987d57dc5bd2d5d16580c3d055cc111bfa69599c9586b66a6129951b0e",
+    "ep_turns_pd2_0001.csv": "ea11005f27682a4300f124528d5da211e9a2ed54fdc25f5ffe025c3145945c3f",
+    "ep_turns_pd3_0000.csv": "24aa6f722a73ff3790f3ff095a5253f3c755b6c24f49a43a49b8e2ac2fa387ad",
+    "ep_turns_pd3_0001.csv": "2a54d5b9cc0966d7d99131bafbb67d8e3e0cd909a031c14a4aef7a1eadec96f6",
+    "summary.csv": "45de21e004fb88a609bb17608f6c7fcb9b7568ed60472df94984ab496110a5fe",
+    "summary.txt": "1ced2e26964fae45cae98feb9192453a8cb846692b79022a271c023d851a488f",
+}
+
+
 def _run_digests(tmp_path, capsys, argv):
     """Exit code, sha256 of every file written to --out, and of stdout."""
     code, out, _ = run(capsys, *argv, "--out", str(tmp_path))
@@ -533,6 +562,13 @@ def test_interval_mode_outputs_are_byte_identical_to_recorded_digests(tmp_path, 
     assert code == 1
     assert digests == _INTERVAL_GRID_DIGESTS
     assert out == _INTERVAL_GRID_DIGESTS["summary.txt"]
+
+
+def test_pd_grid_outputs_are_byte_identical_to_recorded_digests(tmp_path, capsys):
+    code, digests, out = _run_digests(tmp_path, capsys, _PD_GRID_ARGV)
+    assert code == 0
+    assert digests == _PD_GRID_DIGESTS
+    assert out == _PD_GRID_DIGESTS["summary.txt"]
 
 
 # sha256 of the stdout of `verify all --n 300 --seed 4`, recorded at commit
