@@ -11,7 +11,9 @@ so every BENCH file comes from the same settings. It then runs 3 more
 alternating untraced pairs at seed 2, a held-out seed: a claimed gain must
 also hold on a seed not used while the change was written. Each side runs its
 own ``perfbench/``, so the comparison holds only while that directory is the
-same in both.
+same in both: when a file under ``perfbench/`` or BENCHMARK.json differs
+between the exported parent and the working tree, it names the files and
+exits with status 2 before running anything.
 
 It writes BENCH_<N>.json at the repository root. Per workload and end-to-end
 metric, it holds each side's runs, median and quartiles, the pairs the change
@@ -52,6 +54,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
 PAIRS = 10
 TRACED_PAIRS = 3
 SEED = 1
@@ -132,6 +135,22 @@ def export(ref: str, into: Path) -> str:
     return sha
 
 
+def differing_files(parent: Path, change: Path) -> list[str]:
+    """The files of BENCHMARK_FILES, as paths relative to each tree, that only
+    one tree has or whose bytes differ; ``__pycache__`` is skipped."""
+    def files(tree: Path) -> dict[str, bytes]:
+        found = {}
+        for name in BENCHMARK_FILES:
+            top = tree / name
+            for path in top.rglob("*") if top.is_dir() else [top]:
+                if path.is_file() and "__pycache__" not in path.parts:
+                    found[path.relative_to(tree).as_posix()] = path.read_bytes()
+        return found
+
+    old, new = files(parent), files(change)
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+
+
 def end_to_end(runs: dict[str, list], spec: dict) -> dict:
     """compare() of every end-to-end metric over paired runs."""
     return {
@@ -187,6 +206,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         parent_sha = export(args.parent_ref, Path(tmp))
+        differing = differing_files(Path(tmp), ROOT)
+        if differing:
+            print(f"error: the benchmark differs between {args.parent_ref} and the working "
+                  f"tree, so the runs would not compare: {', '.join(differing)}",
+                  file=sys.stderr)
+            return 2
         trees = {"parent": Path(tmp), "change": ROOT}
         results = {w["name"]: bench_workload(trees, w["name"], spec)
                    for w in spec["workloads"]}

@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--scale", type=float, help="course scale (m); default: the course's own")
     gen.add_argument("--out", type=Path, help="output file (default stdout)")
 
-    ev = sub.add_parser("monitor-eval", help="re-run the monitors over a log")
+    ev = sub.add_parser("monitor-eval", help="re-judge each logged proposal with the controller monitor")
     ev.add_argument("log", type=Path)
     _add_param_flags(ev)
 
@@ -224,9 +224,9 @@ def _cmd_monitor_eval(args) -> int:
         bad = [name for name, value in zip(header, numbers) if not math.isfinite(value)]
         if bad:
             raise ValueError(f"{args.log}:{lineno}: non-finite {', '.join(bad)}")
-        _, _, X, Y, psi, v, _, a_acted, k_decl, wx, wy, vl, vh = numbers
+        _, _, X, Y, psi, v, a_cmd, _, k_decl, wx, wy, vl, vh = numbers
         rel = to_relative(WorldPose(X, Y, psi), (wx, wy))
-        verdict = controller_monitor(RelWaypoint(*rel, k_decl, vl, vh), v, a_acted, params)
+        verdict = controller_monitor(RelWaypoint(*rel, k_decl, vl, vh), v, a_cmd, params)
         label = "pass" if verdict.passed else verdict.failed_clause.value
         counts[label] = counts.get(label, 0) + 1
         total += 1

@@ -46,27 +46,27 @@ class Disturbance:
             raise ValueError("cycle_jitter must be in [0, 1)")
 
 
-def _travel(v0: float, a: float, t: float):
-    """Speed and arc length after time t, frozen at the v = 0 event for a < 0."""
+def _flow(v0: float, a: float, k: float, t: float):
+    """The flow over time t from speed v0 at the body-frame origin heading +x:
+    (v, s, u, cos u, sin u, dx, dy), the speed and arc length, frozen at the
+    v = 0 event for a < 0, the turn angle u = k s, and the displacement
+    (dx, dy) = (s sin(u)/u, s (1 - cos u)/u).
+
+    The displacement is written without 1/k terms and by series near u = 0,
+    so tiny curvatures degrade gracefully to the straight line.
+    """
     stop = v0 / -a if a < 0.0 else t
     td = stop if stop < t else t
     v = v0 + a * td
-    return v if v > 0.0 else 0.0, v0 * td + a * td * td / 2.0
-
-
-def _arc_terms(u: float):
-    """cos u, sin u, sin(u)/u and (1 - cos u)/u for the turn angle u = k s.
-
-    The last two give the body-frame displacement (s sinc, s hvc) of an arc of
-    length s, written without 1/k terms and by series near u = 0 so tiny
-    curvatures degrade gracefully to the straight line.
-    """
+    v = v if v > 0.0 else 0.0
+    s = v0 * td + a * td * td / 2.0
+    u = k * s
     c, sn = math.cos(u), math.sin(u)
     if abs(u) > 1e-4:
-        return c, sn, sn / u, (1.0 - c) / u
+        return v, s, u, c, sn, s * (sn / u), s * ((1.0 - c) / u)
     u2 = u * u
-    return (c, sn, 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0),
-            u / 2.0 * (1.0 - u2 / 12.0 * (1.0 - u2 / 30.0)))
+    return (v, s, u, c, sn, s * (1.0 - u2 / 6.0 * (1.0 - u2 / 20.0)),
+            s * (u / 2.0 * (1.0 - u2 / 12.0 * (1.0 - u2 / 30.0))))
 
 
 def closed_form_relative(x: float, y: float, v0: float, a: float, k: float, times):
@@ -80,18 +80,14 @@ def closed_form_relative(x: float, y: float, v0: float, a: float, k: float, time
     for t in times:
         if t < 0.0:
             raise ValueError(f"closed_form_relative requires t >= 0, got {t!r}")
-        v, s = _travel(v0, a, t)
-        c, sn, sinc, hvc = _arc_terms(k * s)
-        yield t, x * c + y * sn - s * sinc, y * c - x * sn + s * hvc, v
+        v, _, _, c, sn, dx, dy = _flow(v0, a, k, t)
+        yield t, x * c + y * sn - dx, y * c - x * sn + dy, v
 
 
 def arc_step(pose: WorldPose, v: float, k: float, a: float, dt: float):
     """Exact world-frame flow for dt >= 0 under constant curvature k and
     acceleration a. Returns (WorldPose, v, s) with s the arc length driven."""
-    v1, s = _travel(v, a, dt)
-    u = k * s
-    _, _, sinc, hvc = _arc_terms(u)
-    dx, dy = s * sinc, s * hvc
+    v1, s, u, _, _, dx, dy = _flow(v, a, k, dt)
     c, sn = pose.cos, pose.sin
     return WorldPose(pose.x + c * dx - sn * dy, pose.y + sn * dx + c * dy,
                      pose.heading + u), v1, s

@@ -193,6 +193,7 @@ def run_episode(cfg: EpisodeConfig):
     monitoring, interval_mode = cfg.monitoring, cfg.interval_mode
     collect_log, max_cycles = cfg.collect_log, cfg.max_cycles
     rng = random.Random(cfg.seed)
+    jitter, draw = disturbance.cycle_jitter, rng.random
     policy = seeded_random(rng.randrange(2**32)) if cfg.branch == "random" \
         else deterministic_first
 
@@ -256,7 +257,7 @@ def run_episode(cfg: EpisodeConfig):
         # is the in-force target in the body frame at cycle start). Speed is
         # monotone within a cycle, so its extremes in the goal region sit at
         # those two points.
-        dt = T * (1.0 - disturbance.cycle_jitter * rng.random())
+        dt = T * (1.0 - jitter * draw())
         k_act, a_act = actuated(k_cmd, a_cmd, disturbance)
         new_pose, vv, s = arc_step(pose, v, k_act, a_act, dt)
         distance += s

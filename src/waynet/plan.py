@@ -2,7 +2,10 @@
 limits, a line-oriented text format, per-cycle extraction of the active
 body-frame waypoint, and the built-in benchmark environments. A
 ``PlanGraph`` compiles itself once, on construction, into one ``Segment`` per
-edge and a successor table; target extraction reads only these.
+edge and a successor table; target extraction reads only these. Each
+``Segment`` holds, for its kind, one record of what extraction reads every
+cycle (a line's start, direction and length, an arc's circle and turn, the end
+node's limits), so a cycle derives no geometry and unpacks one tuple.
 
 The target on a segment is the look-ahead-capped point when it is ahead of
 the robot; else the point 1/16 of the segment's remainder past the exact cut
@@ -111,7 +114,7 @@ class PlanGraph:
             if not chord2 < math.inf:
                 raise PlanError(f"edge {name}: its squared length overflows floats "
                                 f"(the nodes are {chord:g} m apart)")
-            geom = None
+            line = arc = None
             if e.kind == "arc":
                 if e.k == 0.0:
                     raise PlanError(f"arc edge {name} has zero curvature")
@@ -127,11 +130,15 @@ class PlanGraph:
                            for f, n in ((0.0, a), (1.0, b))):
                     raise PlanError(f"arc edge {name}: curvature {e.k:g} is too "
                                     f"small for floats to hold its circle; use a line")
+                arc = (geom.cx, geom.cy, geom.radius, geom.theta0, geom.sweep, abs(geom.sweep),
+                       b.vl, b.vh)
             elif e.kind != "line":
                 raise PlanError(f"edge {name}: unknown kind {e.kind!r}")
             elif e.frm == self.start and chord == 0.0:
                 raise PlanError(f"start edge {name}: a line of zero length gives no start heading")
-            segments.append(Segment(a, b, e.k if geom is not None else 0.0, geom, chord, chord2))
+            else:
+                line = (a.x, a.y, ux, uy, chord, chord2, b.vl, b.vh)
+            segments.append(Segment(a, b, e.k if arc is not None else 0.0, line, arc))
             successors.setdefault(e.frm, []).append(i)
         if self.start not in successors:
             raise PlanError(f"start node {self.start!r} has no outgoing edges")
@@ -256,20 +263,33 @@ def arc_heading(geom: ArcGeometry, frac: float) -> float:
 @dataclass(frozen=True)
 class Segment:
     """One compiled plan edge: its end nodes, its signed curvature (0 for
-    lines), for arcs the arc's geometry, and the chord from a to b."""
+    lines) and the record of its kind that target extraction unpacks each
+    cycle; the other kind's record is None.
+
+    - ``line``: ``(ax, ay, ux, uy, chord, chord2, vl, vh)``, the start point
+      a, the direction b - a, its length and squared length;
+    - ``arc``: ``(cx, cy, radius, theta0, sweep, |sweep|, vl, vh)``, the
+      arc's ``ArcGeometry`` fields and the magnitude of its sweep;
+
+    both ending with the end node b's speed limits.
+    """
 
     a: Node
     b: Node
     k: float
-    geom: ArcGeometry | None
-    chord: float     # |b - a|, a line's length
-    chord2: float    # chord squared
+    line: tuple | None
+    arc: tuple | None
+
+    @property
+    def geom(self) -> ArcGeometry | None:
+        """The arc's geometry, from its record; None for a line."""
+        return None if self.arc is None else ArcGeometry(*self.arc[:5])
 
     def point(self, frac: float):
         """World point at fraction frac in [0, 1] along the segment."""
-        if self.geom is None:
-            a, b = self.a, self.b
-            return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
+        if self.arc is None:
+            ax, ay, ux, uy = self.line[:4]
+            return (ax + frac * ux, ay + frac * uy)
         return arc_point(self.geom, frac)
 
 
@@ -317,7 +337,7 @@ def initial_state(graph: PlanGraph, p: Params, branch_policy=deterministic_first
     edge_index = branch_policy(graph.start, graph.successors(graph.start))
     seg = graph.segments[edge_index]
     a, b = seg.a, seg.b
-    heading = math.atan2(b.y - a.y, b.x - a.x) if seg.geom is None else arc_heading(seg.geom, 0.0)
+    heading = math.atan2(b.y - a.y, b.x - a.x) if seg.arc is None else arc_heading(seg.geom, 0.0)
     pose = WorldPose(a.x, a.y, heading)
     v = b.vl
     return pose, v, target_for_edge(graph, edge_index, pose, _lookahead(v, None, p))
@@ -327,14 +347,18 @@ def _lookahead(v: float, target: ActiveTarget | None, p: Params) -> float:
     """Path distance to the active target: a handful of goal radii, at least
     1.5 cycles of travel, and enough room for the invariant's speed-gap
     distance terms (brake down to the upper limit, or accelerate back up to
-    the lower one) with a factor-2 margin."""
-    L = max(6.0 * p.tol, 1.5 * v * p.cycle_max + p.tol)
+    the lower one) with a factor-2 margin. ``b if b > a else a`` is
+    ``max(a, b)``, NaN and signed zeros included, without the call."""
+    L, travel = 6.0 * p.tol, 1.5 * v * p.cycle_max + p.tol
+    L = travel if travel > L else L
     if target is not None:
         wp = target.waypoint
         if v > wp.vh:
-            L = max(L, (v * v - wp.vh * wp.vh) / p.brake_max + 2.0 * p.tol)
+            brake = (v * v - wp.vh * wp.vh) / p.brake_max + 2.0 * p.tol
+            L = brake if brake > L else L
         if v < wp.vl:
-            L = max(L, (wp.vl * wp.vl - v * v) / p.accel_max + 2.0 * p.tol)
+            accel = (wp.vl * wp.vl - v * v) / p.accel_max + 2.0 * p.tol
+            L = accel if accel > L else L
     return L
 
 
@@ -347,35 +371,35 @@ def target_for_edge(graph: PlanGraph, edge_index: int, pose: WorldPose,
     a margin of 1/16 of the remainder past the exact cut where the remainder
     enters x > 0, capped at the end node; else the end node."""
     seg = graph.segments[edge_index]
-    geom = seg.geom
+    line = seg.line
     # The robot's projection, clamped to [0, 1] (angular along arcs), and the
-    # look-ahead point, in one body: the common path makes no method call, and
-    # comparisons stand in for min/max with their results, NaN and -0.0 too.
-    if geom is None:
-        ax, ay, ux, uy = seg.a.x, seg.a.y, seg.b.x - seg.a.x, seg.b.y - seg.a.y
-        if seg.chord2 == 0.0:
+    # look-ahead point, in one body over the segment's compiled record: the
+    # common path makes no method call, and comparisons stand in for min/max
+    # with their results, NaN and -0.0 too.
+    if line is not None:
+        ax, ay, ux, uy, chord, chord2, vl, vh = line
+        if chord2 == 0.0:
             here = 1.0
         else:
-            here = ((pose.x - ax) * ux + (pose.y - ay) * uy) / seg.chord2
+            here = ((pose.x - ax) * ux + (pose.y - ay) * uy) / chord2
             here = (here if here < 1.0 else 1.0) if here > 0.0 else 0.0
-        frac = here + lookahead / seg.chord if seg.chord > 0.0 else 1.0
+        frac = here + lookahead / chord if chord > 0.0 else 1.0
         frac = frac if frac < 1.0 else 1.0
         target = (ax + frac * ux, ay + frac * uy)
     else:
-        cx, cy, radius, sweep = geom.cx, geom.cy, geom.radius, geom.sweep
-        here = math.remainder(math.atan2(pose.y - cy, pose.x - cx) - geom.theta0,
-                              _TWO_PI) / sweep
+        cx, cy, radius, theta0, sweep, span, vl, vh = seg.arc
+        here = math.remainder(math.atan2(pose.y - cy, pose.x - cx) - theta0, _TWO_PI) / sweep
         here = 0.0 if here < 0.0 else (here if here < 1.0 else 1.0)
         turn = lookahead / radius
-        frac = here + (turn if turn < _HALF_PI else _HALF_PI) / abs(sweep)
+        frac = here + (turn if turn < _HALF_PI else _HALF_PI) / span
         frac = frac if frac < 1.0 else 1.0
-        theta = geom.theta0 + frac * sweep
+        theta = theta0 + frac * sweep
         target = (cx + radius * math.cos(theta), cy + radius * math.sin(theta))
     rel = to_relative(pose, target)
     if rel[0] <= 0.0:
         # The remainder is ahead between the fractions enter and leave.
         c, s = pose.cos, pose.sin
-        if geom is None:  # x is linear in the fraction
+        if line is not None:  # x is linear in the fraction
             dx = c * ux + s * uy
             zero = frac - rel[0] / dx if dx != 0.0 else -math.inf
             enter, leave = (zero, math.inf) if dx > 0.0 else (here, zero)
@@ -383,17 +407,16 @@ def target_for_edge(graph: PlanGraph, edge_index: int, pose: WorldPose,
             ratio = (c * (pose.x - cx) + s * (pose.y - cy)) / radius
             half = math.acos(min(1.0, max(-1.0, ratio)))
             u = math.remainder(math.copysign(1.0, sweep)
-                               * (geom.theta0 + here * sweep - pose.heading), _TWO_PI)
+                               * (theta0 + here * sweep - pose.heading), _TWO_PI)
             if u >= half:  # past this window: the next is a turn further on
                 u -= _TWO_PI
-            enter = here + max(0.0, -half - u) / abs(sweep)
-            leave = here + (half - u) / abs(sweep)
+            enter = here + max(0.0, -half - u) / span
+            leave = here + (half - u) / span
         cut = min(1.0, enter + (1.0 - here) / 16.0) if enter < leave else 1.0
         if cut != frac:  # else rel already holds
             frac, target = cut, seg.point(cut)
             rel = to_relative(pose, target)
-    wp = RelWaypoint(rel[0], rel[1], seg.k, seg.b.vl, seg.b.vh)
-    return ActiveTarget(edge_index=edge_index, target_world=target, frac=frac, waypoint=wp)
+    return ActiveTarget(edge_index, target, frac, RelWaypoint(rel[0], rel[1], seg.k, vl, vh))
 
 
 def next_target(graph: PlanGraph, current: ActiveTarget, pose: WorldPose, rel,
@@ -416,9 +439,10 @@ def next_target(graph: PlanGraph, current: ActiveTarget, pose: WorldPose, rel,
     reached = reached_hint or dist <= p.tol
     # frac accumulates sub-ulp rounding; treat within 1e-9 of 1 as the end.
     at_end = current.frac >= 1.0 - 1e-9
-    slop = max(3.0 * p.tol, v * p.cycle_max)
-    if at_end and rx <= 0.0 and dist <= slop:
-        reached = True  # narrowly overshot the end node; advance, not stall
+    if at_end and rx <= 0.0:
+        near, travel = 3.0 * p.tol, v * p.cycle_max
+        if dist <= (travel if travel > near else near):  # max(near, travel)
+            reached = True  # narrowly overshot the end node; advance, not stall
     if reached and at_end:
         node = graph.edges[edge_index].to
         if node in graph.terminals:

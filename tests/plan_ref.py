@@ -2,36 +2,57 @@
 ``waynet.plan.target_for_edge``.
 
 ``fraction`` and ``point`` are the segment methods that extraction once
-called, and ``target_for_edge`` composes them as it once did. The
+called, and ``target_for_edge`` composes them as it once did. Each derives
+the segment's geometry from its nodes, as ``record`` does the record that
+``PlanGraph`` compiles, so the oracle does not read that record. The
 differential tests require ``target_for_edge``, ``next_target`` and
 ``initial_state`` to return the same ``ActiveTarget`` as this oracle, bit for
-bit.
+bit, and every compiled record to equal ``record``'s.
 """
 
 import math
 
 from waynet.core import RelWaypoint, WorldPose
 from waynet.dynamics import to_relative
-from waynet.plan import ActiveTarget, PlanGraph, Segment, arc_point
+from waynet.plan import ActiveTarget, PlanGraph, Segment, arc_geometry, arc_point
+
+
+def geometry(seg: Segment):
+    """The segment's arc geometry from its nodes and curvature; None for a line."""
+    a, b = seg.a, seg.b
+    return None if seg.k == 0.0 else arc_geometry(a.x, a.y, b.x, b.y, seg.k)
+
+
+def record(seg: Segment):
+    """The (line, arc) records of a segment, derived from its nodes."""
+    a, b, geom = seg.a, seg.b, geometry(seg)
+    if geom is None:
+        ux, uy = b.x - a.x, b.y - a.y
+        return (a.x, a.y, ux, uy, math.hypot(ux, uy), ux * ux + uy * uy, b.vl, b.vh), None
+    return None, (geom.cx, geom.cy, geom.radius, geom.theta0, geom.sweep, abs(geom.sweep),
+                  b.vl, b.vh)
 
 
 def point(seg: Segment, frac: float):
     """World point at fraction frac in [0, 1] along the segment."""
-    if seg.geom is None:
+    geom = geometry(seg)
+    if geom is None:
         a, b = seg.a, seg.b
         return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
-    return arc_point(seg.geom, frac)
+    return arc_point(geom, frac)
 
 
 def fraction(seg: Segment, pose: WorldPose) -> float:
     """Fraction of the robot's projection onto the segment, clamped to
     [0, 1]; angular along arcs."""
-    geom = seg.geom
+    geom = geometry(seg)
     if geom is None:
         a, b = seg.a, seg.b
-        if seg.chord2 == 0.0:
+        ux, uy = b.x - a.x, b.y - a.y
+        chord2 = ux * ux + uy * uy
+        if chord2 == 0.0:
             return 1.0
-        t = ((pose.x - a.x) * (b.x - a.x) + (pose.y - a.y) * (b.y - a.y)) / seg.chord2
+        t = ((pose.x - a.x) * ux + (pose.y - a.y) * uy) / chord2
         return min(1.0, max(0.0, t))
     theta = math.atan2(pose.y - geom.cy, pose.x - geom.cx)
     delta = theta - geom.theta0
@@ -53,9 +74,10 @@ def target_for_edge(graph: PlanGraph, edge_index: int, pose: WorldPose,
     enters x > 0, capped at the end node; else the end node."""
     seg = graph.segments[edge_index]
     here = fraction(seg, pose)
-    geom = seg.geom
+    geom = geometry(seg)
     if geom is None:
-        frac = min(1.0, here + lookahead / seg.chord) if seg.chord > 0.0 else 1.0
+        chord = math.hypot(seg.b.x - seg.a.x, seg.b.y - seg.a.y)
+        frac = min(1.0, here + lookahead / chord) if chord > 0.0 else 1.0
     else:
         frac = min(1.0, here + min(math.pi / 2.0, lookahead / geom.radius) / abs(geom.sweep))
     target = point(seg, frac)

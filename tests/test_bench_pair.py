@@ -73,3 +73,41 @@ def test_bench_workload_adds_held_out_pairs_at_another_seed(monkeypatch):
     # The seed-2 runs' fingerprint differs from seed 1's and is kept apart.
     assert result["fingerprints_equal"] and result["fingerprint"] == {"seed": 1}
     assert result["end_to_end"]["throughput_per_s"]["pairs"] == 10
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+BENCH_TREE = {"BENCHMARK.json": "{}", "perfbench/run.py": "run", "perfbench/README.md": "doc"}
+
+
+def test_differing_files_names_each_file_only_one_tree_has_or_that_differs(tmp_path):
+    parent = _tree(tmp_path / "parent", BENCH_TREE)
+    change = _tree(tmp_path / "change", {**BENCH_TREE, "src/other.py": "not the benchmark",
+                                         "perfbench/__pycache__/run.pyc": "cache"})
+    assert bench_pair.differing_files(parent, change) == []
+    _tree(change, {"BENCHMARK.json": "{ }", "perfbench/new.py": "new"})
+    (change / "perfbench" / "README.md").unlink()
+    assert bench_pair.differing_files(parent, change) == [
+        "BENCHMARK.json", "perfbench/README.md", "perfbench/new.py"]
+
+
+def test_main_refuses_to_run_when_the_benchmark_differs(tmp_path, monkeypatch, capsys):
+    change = _tree(tmp_path / "change", BENCH_TREE)
+
+    def export(ref, into):
+        _tree(into, {**BENCH_TREE, "perfbench/run.py": "edited"})
+        return "0" * 40
+
+    monkeypatch.setattr(bench_pair, "ROOT", change)
+    monkeypatch.setattr(bench_pair, "export", export)
+    monkeypatch.setattr(bench_pair, "perfbench",
+                        lambda *args: pytest.fail("a benchmark ran"))
+    assert bench_pair.main(["parent", "--pr", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "perfbench/run.py" in err and "README" not in err
+    assert not (change / "BENCH_0.json").exists()

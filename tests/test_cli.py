@@ -365,6 +365,21 @@ def test_monitor_eval_on_produced_log(tmp_path, capsys):
     assert "pass:" in out
 
 
+def test_monitor_eval_judges_the_proposal_the_gate_judged(tmp_path, capsys):
+    # On a rejected cycle a_acted is the braking fallback; the gate judged a_cmd.
+    run(capsys, "simulate", "--env", "rect", "--controller", "adversarial",
+        "--episodes", "1", "--seed", "1", "--out", str(tmp_path))
+    log = tmp_path / "ep_rect_adversarial_0000.csv"
+    verdicts = [row.split(",")[-2:] for row in log.read_text().splitlines()[1:]]
+    assert all(plant == "pass" for _, plant in verdicts)  # every verdict came from a gate call
+    logged = {label: sum(ctrl == label for ctrl, _ in verdicts)
+              for label in ("pass", "upper_speed")}
+    assert logged == {"pass": 43, "upper_speed": 42} and len(verdicts) == 85
+    code, out, _ = run(capsys, "monitor-eval", str(log))
+    assert code == 0
+    assert out == "pass: 43\nupper_speed: 42\ntotal: 85 cycles, 42 rejected\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("column", [2, 5])  # X and v
 def test_monitor_eval_rejects_non_finite(tmp_path, capsys, column, value):

@@ -41,6 +41,35 @@ def _min_max_travel(v0, a, t):
     return max(0.0, v0 + a * td), v0 * td + a * td * td / 2.0
 
 
+def _arc_terms(u):
+    """cos u, sin u, sin(u)/u and (1 - cos u)/u, by series near u = 0: the
+    turn terms as they were written apart from the travel formula."""
+    c, sn = math.cos(u), math.sin(u)
+    if abs(u) > 1e-4:
+        return c, sn, sn / u, (1.0 - c) / u
+    u2 = u * u
+    return (c, sn, 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0),
+            u / 2.0 * (1.0 - u2 / 12.0 * (1.0 - u2 / 30.0)))
+
+
+def _composed_flow(v0, a, k, t):
+    """``dynamics._flow`` composed of the two forms above, as its callers
+    once composed them."""
+    v, s = _min_max_travel(v0, a, t)
+    u = k * s
+    c, sn, sinc, hvc = _arc_terms(u)
+    return v, s, u, c, sn, s * sinc, s * hvc
+
+
+def _flow_bits(flow, *args):
+    """The bits of flow(*args), or the exception it raises (cos and sin of
+    an infinite turn raise ValueError)."""
+    try:
+        return _bits(flow(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
 SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5, -2.0,
                   5e-324, -5e-324, 1e308, -1e308)
 
@@ -95,14 +124,16 @@ class TestClosedForm:
             assert _bits(state) == _bits(single)
 
     def test_travel_matches_the_min_max_form_on_special_values(self):
-        for v0, a, t in itertools.product(SPECIAL_FLOATS, repeat=3):
-            assert _bits(dynamics._travel(v0, a, t)) == _bits(_min_max_travel(v0, a, t)), \
-                (v0, a, t)
+        for v0, a, k, t in itertools.product(SPECIAL_FLOATS, repeat=4):
+            assert (_flow_bits(dynamics._flow, v0, a, k, t)
+                    == _flow_bits(_composed_flow, v0, a, k, t)), (v0, a, k, t)
 
     @settings(derandomize=True, max_examples=1000, deadline=None)
-    @given(v0=st.floats(), a=st.floats(), t=st.floats())
-    def test_travel_matches_the_min_max_form(self, v0, a, t):
-        assert _bits(dynamics._travel(v0, a, t)) == _bits(_min_max_travel(v0, a, t))
+    @given(v0=st.floats(), a=st.floats(), t=st.floats(),
+           k=st.one_of(st.floats(), st.floats(-1e-4, 1e-4)))
+    def test_travel_matches_the_min_max_form(self, v0, a, k, t):
+        assert (_flow_bits(dynamics._flow, v0, a, k, t)
+                == _flow_bits(_composed_flow, v0, a, k, t))
 
 
 def test_rk4_matches_closed_form():

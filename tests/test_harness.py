@@ -12,7 +12,8 @@ from waynet.dynamics import Disturbance
 from waynet.harness import (CONTROLLERS, DEFAULT_PARAMS, PROFILES, EpisodeConfig, EpisodeReport,
                             LOG_HEADER, format_log, run_episode, summarize)
 from waynet.intervals import interval_eval_controller
-from waynet.monitor import Clause, certified_controller_monitor, controller_monitor, go
+from waynet.monitor import (Clause, certified_controller_monitor, controller_monitor, go,
+                            plant_monitor)
 from waynet.plan import PlanGraph, gen_environment
 
 import monitor_ref
@@ -191,6 +192,33 @@ def test_filter_certifies_every_pass_of_the_interval_batch(monkeypatch, capsys):
     passes = [certified for verdict, certified in gated if verdict.passed]
     assert (len(gated), len(passes), sum(passes)) == (1952, 1938, 1938)
     assert (len(point_calls), len(interval_calls)) == (0, 0)
+
+
+def test_monitor_arguments_keep_their_values_after_the_call(monkeypatch):
+    """A replay that records each monitor call's arguments by reference, as
+    perfbench's ``gate`` workload does, reads them after the episode: no
+    argument object may change after the call it was passed to."""
+    calls = []
+
+    def fields(arg):
+        return dataclasses.astuple(arg) if dataclasses.is_dataclass(arg) else arg
+
+    def recording(monitor):
+        def recorded(*args):
+            calls.append([(arg, fields(arg)) for arg in args])
+            return monitor(*args)
+        return recorded
+
+    monkeypatch.setattr(harness, "controller_monitor", recording(controller_monitor))
+    monkeypatch.setattr(harness, "plant_monitor", recording(plant_monitor))
+    report, _ = run_episode(EpisodeConfig(gen_environment("clover"), "clover", controller="pd1",
+                                          seed=1, disturbance=README_DISTURBANCE))
+    # Rejections and plant failures both occur, so fallback cycles are covered.
+    assert report.ctrl_fail_rate > 0.0 and report.plant_fail_rate > 0.0
+    assert len(calls) > report.cycles
+    for args in calls:
+        for arg, snapshot in args:
+            assert fields(arg) == snapshot
 
 
 def test_log_format():

@@ -1,10 +1,12 @@
+import itertools
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import waynet.plan
-from waynet.core import Params, WorldPose
+from waynet.core import Params, RelWaypoint, WorldPose
 from waynet.dynamics import to_relative
 from waynet.plan import (ActiveTarget, CO_CIRCULAR_RTOL, DEFAULT_SCALES, DeadEnd, Edge,
                          ENVIRONMENTS, Node, PlanError, PlanGraph, _lookahead, arc_geometry,
@@ -15,6 +17,11 @@ from waynet.plan import (ActiveTarget, CO_CIRCULAR_RTOL, DEFAULT_SCALES, DeadEnd
 import plan_ref
 
 P = Params(accel_max=1.0, brake_max=1.0, cycle_max=0.5, tol=0.5)
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5, -2.0,
+                  5e-324, -5e-324, 1e308, -1e308)
+# P, every field subnormal, and fields so large that 3 and 6 goal radii overflow.
+SPECIAL_PARAMS = (P, Params(5e-324, 5e-324, 5e-324, 5e-324), Params(1e308, 1e308, 1.0, 1e308))
 
 SIMPLE = """
 # straight then a left quarter turn
@@ -141,10 +148,11 @@ class TestCompiledPlan:
     def test_segments_follow_edges(self):
         g = parse_plan(SIMPLE)
         line, arc = g.segments
-        assert (line.a.id, line.b.id, line.k, line.geom) == ("a", "b", 0.0, None)
-        assert (line.chord, line.chord2) == (10.0, 100.0)
-        assert (arc.a.id, arc.b.id, arc.k) == ("b", "c", 0.5)
+        assert (line.a.id, line.b.id, line.k, line.arc, line.geom) == ("a", "b", 0.0, None, None)
+        assert line.line == (0.0, 0.0, 10.0, 0.0, 10.0, 100.0, 1.0, 2.0)
+        assert (arc.a.id, arc.b.id, arc.k, arc.line) == ("b", "c", 0.5, None)
         assert arc.geom == arc_geometry(10.0, 0.0, 12.0, 2.0, 0.5)
+        assert arc.arc[5:] == (abs(arc.geom.sweep), 1.0, 2.0)
         assert arc.point(1.0) == pytest.approx((12.0, 2.0), abs=1e-9)
 
     def test_fraction_clamps_to_segment(self):
@@ -184,8 +192,18 @@ class TestCompiledPlan:
     @pytest.mark.parametrize("name", ENVIRONMENTS)
     def test_built_in_arcs_end_on_their_nodes(self, name):
         for seg in gen_environment(name).segments:
+            chord = math.dist((seg.a.x, seg.a.y), (seg.b.x, seg.b.y))
             for frac, node in ((0.0, seg.a), (1.0, seg.b)):
-                assert math.dist(seg.point(frac), (node.x, node.y)) <= CO_CIRCULAR_RTOL * seg.chord
+                assert math.dist(seg.point(frac), (node.x, node.y)) <= CO_CIRCULAR_RTOL * chord
+
+    @pytest.mark.parametrize("name", ENVIRONMENTS)
+    def test_built_in_records_are_derived_from_their_nodes(self, name):
+        for seg in gen_environment(name).segments:
+            assert _record_bits(seg.line, seg.arc) == _record_bits(*plan_ref.record(seg))
+
+
+def _record_bits(line, arc):
+    return tuple(None if r is None else tuple(c.hex() for c in r) for r in (line, arc))
 
 
 class TestArcGeometry:
@@ -390,6 +408,37 @@ class TestTargets:
         assert seq_a == seq_b
         assert picks1[0] in (0, 1)
 
+    def test_lookahead_comparisons_return_what_max_returns(self):
+        def max_form(v, target, p):
+            L = max(6.0 * p.tol, 1.5 * v * p.cycle_max + p.tol)
+            if target is not None:
+                wp = target.waypoint
+                if v > wp.vh:
+                    L = max(L, (v * v - wp.vh * wp.vh) / p.brake_max + 2.0 * p.tol)
+                if v < wp.vl:
+                    L = max(L, (wp.vl * wp.vl - v * v) / p.accel_max + 2.0 * p.tol)
+            return L
+
+        bits = lambda x: struct.pack("<d", x)
+        for p, v in itertools.product(SPECIAL_PARAMS, SPECIAL_FLOATS):
+            assert bits(_lookahead(v, None, p)) == bits(max_form(v, None, p)), (p, v)
+            for vl, vh in itertools.product(SPECIAL_FLOATS, repeat=2):
+                t = ActiveTarget(0, (0.0, 0.0), 0.0, RelWaypoint(0.0, 0.0, 0.0, vl, vh))
+                assert bits(_lookahead(v, t, p)) == bits(max_form(v, t, p)), (p, v, vl, vh)
+
+    def test_overshoot_slop_is_what_max_returns(self):
+        # At the end of edge 0 the target advances iff the end node is reached:
+        # within tol, or behind the robot within max(3 tol, v T).
+        g = parse_plan(SIMPLE)
+        current = ActiveTarget(0, (10.0, 0.0), 1.0, RelWaypoint(0.0, 0.0, 0.0, 1.0, 2.0))
+        pose = WorldPose(10.0, 0.0, 0.0)
+        for p, v, rx, ry in itertools.product(SPECIAL_PARAMS, SPECIAL_FLOATS, SPECIAL_FLOATS,
+                                              (0.0, math.nan)):
+            dist = math.hypot(rx, ry)
+            reached = dist <= p.tol or (rx <= 0.0 and dist <= max(3.0 * p.tol, v * p.cycle_max))
+            assert (next_target(g, current, pose, (rx, ry), v, p).edge_index == 1) == reached, \
+                (p, v, rx, ry)
+
     def test_segment_point_on_line(self):
         g = parse_plan(SIMPLE)
         assert g.segments[0].point(0.25) == pytest.approx((2.5, 0.0))
@@ -434,6 +483,13 @@ def _bits(t: ActiveTarget):
 
 class TestExtractionOracle:
     """The one-body extraction against its composed form in ``plan_ref``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_extraction_cases())
+    def test_compiled_records_are_derived_from_their_nodes(self, case):
+        graph, _ = case
+        for seg in graph.segments:
+            assert _record_bits(seg.line, seg.arc) == _record_bits(*plan_ref.record(seg))
 
     @settings(derandomize=True, max_examples=1500, deadline=None)
     @given(_extraction_cases(), st.one_of(st.floats(0.0, 200.0), st.just(math.inf)))
