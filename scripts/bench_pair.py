@@ -32,7 +32,8 @@ pairs a ``gain`` there needs all 3 wins.
 
 It also records each per-layer metric's traced runs and their median per
 side, whether every run of both sides gave the same fingerprint, and the
-failed-operation counts. Traced times are not scaled for CPU speed, and even
+failed-operation counts, and each side's ``src/waynet`` line count as ``wc -l
+src/waynet/*.py`` gives it. Traced times are not scaled for CPU speed, and even
 the median of 3 alternating traced pairs can land in one slow phase of the
 CPU: in BENCH_12.json two of the change's three traced ``grid`` runs did, and
 ``harness.self`` read 15.9 -> 21.4 us per cycle while throughput did not move.
@@ -124,6 +125,12 @@ def perfbench(tree: Path, workload: str, seconds: float, trace: int, seed: int) 
     return {**json.loads(result), **json.loads(detail)}
 
 
+def line_count(tree: Path) -> int:
+    """Lines of ``src/waynet/*.py`` in tree, counted as ``wc -l`` counts them:
+    newline characters, so a last line without one is not counted."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "waynet").glob("*.py"))
+
+
 def export(ref: str, into: Path) -> str:
     """Write the tree of ref into `into`; return its commit id."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=ROOT,
@@ -213,6 +220,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         trees = {"parent": Path(tmp), "change": ROOT}
+        lines = {side: line_count(tree) for side, tree in trees.items()}
         results = {w["name"]: bench_workload(trees, w["name"], spec)
                    for w in spec["workloads"]}
     dirty = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True,
@@ -228,6 +236,7 @@ def main(argv=None) -> int:
                      "trace": "end-to-end untraced; per-layer from alternating traced pairs, "
                               "median per side"},
         "environment": {"python": platform.python_version(), "nproc": os.cpu_count()},
+        "lines": lines,
         "workloads": results,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

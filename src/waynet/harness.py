@@ -15,6 +15,7 @@ pose, target, pending fallback, the controller's memory, goal-region hint) as
 it found it. Such a cycle moved nothing, so its jittered duration changed only
 the elapsed time; the branch policy, the one other input, runs only when the
 target moves to another edge. Every later cycle would repeat it.
+``EpisodeReport.end_reason`` names which of the four ended the episode.
 
 Safety accounting follows the goal-region contract: a cycle is a safety
 violation when the vehicle is inside the goal region (Euclidean distance
@@ -91,6 +92,9 @@ PROFILES = {
 
 CONTROLLERS = tuple(PROFILES)
 
+# Why an episode ended: the ways out of the loop of ``run_episode``.
+END_REASONS = ("completed", "dead_end", "stuck", "max_cycles")
+
 
 @dataclass(frozen=True)
 class EpisodeConfig:
@@ -129,10 +133,15 @@ class EpisodeReport:
     environment: str = ""
     controller: str = ""
     seed: int = 0
+    end_reason: str = "max_cycles"  # one of END_REASONS
 
     def __post_init__(self):
         if not (0.0 <= self.ctrl_fail_rate <= 1.0 and 0.0 <= self.plant_fail_rate <= 1.0):
             raise ValueError("failure rates must lie in [0, 1]")
+        if self.end_reason not in END_REASONS or self.completed != (
+                self.end_reason == "completed"):
+            raise ValueError(f"end_reason {self.end_reason!r} does not fit "
+                             f"completed={self.completed}")
 
 
 @dataclass(slots=True)
@@ -206,12 +215,12 @@ def run_episode(cfg: EpisodeConfig):
     fallback_engagements = 0
     below_vl_at_goal = 0
     pending_fallback = False
-    completed = False
     prev_e = 0.0
     distance = 0.0
     elapsed_total = 0.0
     reached_hint = False
     prev_state = None
+    end_reason = "max_cycles"
     rows: list[LogRow] = []
 
     T = p.cycle_max
@@ -222,7 +231,7 @@ def run_episode(cfg: EpisodeConfig):
             try:
                 target = next_target(graph, target, pose, rel2, v, p, policy, reached_hint)
             except DeadEnd as end:
-                completed = end.completed
+                end_reason = "completed" if end.completed else "dead_end"
                 break
         reached_hint = False
         wp_seg = target.waypoint
@@ -298,12 +307,13 @@ def run_episode(cfg: EpisodeConfig):
         # Stuck: this cycle left the loop state as it found it (module docstring).
         state = (v, pose, target, pending_fallback, prev_e, reached_hint)
         if state == prev_state:
+            end_reason = "stuck"
             break
         prev_state = state
 
     avg_speed = distance / elapsed_total if elapsed_total > 0.0 else 0.0
     report = EpisodeReport(
-        completed=completed,
+        completed=end_reason == "completed",
         cycles=cycles,
         avg_speed=avg_speed,
         ctrl_fail_rate=ctrl_failures / cycles if cycles else 0.0,
@@ -314,6 +324,7 @@ def run_episode(cfg: EpisodeConfig):
         environment=cfg.environment,
         controller=cfg.controller,
         seed=cfg.seed,
+        end_reason=end_reason,
     )
     return report, rows
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from waynet.core import Params, RelWaypoint, inf_norm
 from waynet.dynamics import closed_form_relative, goal_span
-from waynet.monitor import feas, go, invariant_j
+from waynet.monitor import go, invariant_j
 from waynet.plan import curvature_through
 
 # Sampling envelope: tolerances, delays, accelerations, curvatures, and speeds
@@ -99,7 +99,7 @@ def sample_compliant_state(rng: random.Random, require_go: bool = True) -> State
         vh = vl + width
         wp = RelWaypoint(x, y, k, vl, vh)
         v = rng.uniform(0.0, SPEED_MAX)
-        if not (feas(wp, p).passed and invariant_j(wp, v, p).passed):
+        if not (wp.x > 0.0 and invariant_j(wp, v, p).passed):
             continue
         a = 0.0
         if require_go:

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -111,3 +112,16 @@ def test_main_refuses_to_run_when_the_benchmark_differs(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert "perfbench/run.py" in err and "README" not in err
     assert not (change / "BENCH_0.json").exists()
+
+
+def test_line_count_matches_wc_on_each_tree(tmp_path):
+    trees = {"parent": _tree(tmp_path / "parent", {"src/waynet/a.py": "1\n2\n",
+                                                   "src/waynet/b.py": "1\n2\n3"}),
+             "change": _tree(tmp_path / "change", {"src/waynet/a.py": "1\n",
+                                                   "src/waynet/notes.txt": "1\n2\n",
+                                                   "src/waynet/sub/c.py": "1\n2\n"})}
+    assert {side: bench_pair.line_count(tree) for side, tree in trees.items()} == {
+        "parent": 4, "change": 1}
+    wc = subprocess.run(["wc", "-l", *sorted((trees["parent"] / "src" / "waynet").glob("*.py"))],
+                        capture_output=True, text=True, check=True).stdout
+    assert int(wc.splitlines()[-1].split()[0]) == 4

@@ -9,12 +9,12 @@ from waynet import cli, harness
 from waynet.controllers import choose_accel, declared_curvature
 from waynet.core import RelWaypoint
 from waynet.dynamics import Disturbance
-from waynet.harness import (CONTROLLERS, DEFAULT_PARAMS, PROFILES, EpisodeConfig, EpisodeReport,
-                            LOG_HEADER, format_log, run_episode, summarize)
+from waynet.harness import (CONTROLLERS, DEFAULT_PARAMS, END_REASONS, PROFILES, EpisodeConfig,
+                            EpisodeReport, LOG_HEADER, format_log, run_episode, summarize)
 from waynet.intervals import interval_eval_controller
 from waynet.monitor import (Clause, certified_controller_monitor, controller_monitor, go,
                             plant_monitor)
-from waynet.plan import PlanGraph, gen_environment
+from waynet.plan import PlanGraph, gen_environment, parse_plan
 
 import monitor_ref
 
@@ -266,6 +266,29 @@ def test_stuck_episode_ends_at_its_first_repeated_cycle():
     assert rep.cycles == len(rows) == 51
     assert states[-1] == states[-2]
     assert all(a != b for a, b in zip(states[:-2], states[1:-1]))
+
+
+@pytest.mark.parametrize("plan, controller, kwargs, reason", [
+    (RECT, "liveness", {}, "completed"),
+    (parse_plan("node a 0 0 0 2\nnode b 5 0 0 2\nstart a\nedge a b line\n"), "pd1", {},
+     "dead_end"),
+    (gen_environment("clover"), "pd1", {"disturbance": README_DISTURBANCE, "seed": 1}, "stuck"),
+    (gen_environment("clover"), "pd1", {"max_cycles": 10}, "max_cycles"),
+], ids=END_REASONS)
+def test_report_names_why_the_episode_ended(plan, controller, kwargs, reason):
+    rep, rows = run_episode(EpisodeConfig(plan, "plan", controller, **kwargs))
+    assert rep.end_reason == reason
+    assert rep.completed is (reason == "completed")
+    assert rep.cycles == len(rows)
+
+
+def test_report_rejects_an_end_reason_that_contradicts_completed():
+    fields = dict(cycles=1, avg_speed=1.0, ctrl_fail_rate=0.0, plant_fail_rate=0.0,
+                  safety_violations=0, fallback_engagements=0, below_vl_at_goal=0)
+    assert EpisodeReport(True, end_reason="completed", **fields).end_reason in END_REASONS
+    for completed, reason in ((True, "stuck"), (False, "completed"), (False, "crashed")):
+        with pytest.raises(ValueError):
+            EpisodeReport(completed, end_reason=reason, **fields)
 
 
 def test_standstill_before_a_pending_fallback_is_not_stuck():

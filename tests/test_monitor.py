@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from waynet import monitor
 from waynet.core import Params, RelWaypoint
 from waynet.monitor import (Clause, MonitorVerdict, ann_residual, controller_monitor,
-                            fallback_accel, feas, go, invariant_j, plant_monitor)
+                            fallback_accel, go, invariant_j, plant_monitor)
 
 from monitor_ref import ann_clause, delta_lim, lim
 from toy1d import Toy1DState, monitor_1d, simulate_1d
@@ -21,11 +21,12 @@ def wp(x, y, k, vl=1.0, vh=2.0):
 
 class TestAnn:
     """The annulus clauses: the oracle's ``ann_clause`` and the same first two
-    clauses of ``feas`` and ``invariant_j``."""
+    clauses of ``controller_monitor`` and ``invariant_j``."""
 
     def test_straight_ahead(self):
         assert ann_clause(wp(5.0, 0.0, 0.0), eps=1.0) is Clause.NONE
-        assert feas(wp(5.0, 0.0, 0.0), P) and invariant_j(wp(5.0, 0.0, 0.0), 1.5, P)
+        assert controller_monitor(wp(5.0, 0.0, 0.0), 1.5, 0.0, P)
+        assert invariant_j(wp(5.0, 0.0, 0.0), 1.5, P)
 
     def test_curved_fig_waypoint(self):
         # residual |-0.4 * 14.25 / 2 + 3| = 0.15 < 1
@@ -40,29 +41,32 @@ class TestAnn:
 
     def test_scale_clause(self):
         assert ann_clause(wp(1.0, 0.0, 1.5), eps=1.0) is Clause.ANN_SCALE
-        assert feas(wp(1.0, 0.0, 1.5), P).failed_clause is Clause.ANN_SCALE
+        assert controller_monitor(wp(1.0, 0.0, 1.5), 1.5, 0.0, P).failed_clause is Clause.ANN_SCALE
         assert invariant_j(wp(1.0, 0.0, 1.5), 1.5, P).failed_clause is Clause.ANN_SCALE
 
 
 class TestFeas:
+    """Feas's clauses of ``controller_monitor``, at a speed and acceleration
+    (v = 1.5 within the limits, a = 0) that pass Go."""
+
     def test_pass(self):
-        v = feas(wp(5.0, 0.0, 0.0), P)
+        v = controller_monitor(wp(5.0, 0.0, 0.0), 1.5, 0.0, P)
         assert v.passed and bool(v)
 
     def test_behind_fails_ahead(self):
-        v = feas(wp(-1.0, 0.0, 0.0), P)
+        v = controller_monitor(wp(-1.0, 0.0, 0.0), 1.5, 0.0, P)
         assert not v and v.failed_clause is Clause.AHEAD
 
     def test_empty_interval_fails_limits_order(self):
-        v = feas(wp(5.0, 0.0, 0.0, vl=2.0, vh=2.0), P)
+        v = controller_monitor(wp(5.0, 0.0, 0.0, vl=2.0, vh=2.0), 1.5, 0.0, P)
         assert v.failed_clause is Clause.LIMITS_ORDER
 
     def test_narrow_interval_fails_gap(self):
-        v = feas(wp(5.0, 0.0, 0.0, vl=1.0, vh=1.2), P)
+        v = controller_monitor(wp(5.0, 0.0, 0.0, vl=1.0, vh=1.2), 1.5, 0.0, P)
         assert v.failed_clause is Clause.LIMIT_GAP_A
 
     def test_band_miss_attributed(self):
-        v = feas(wp(2.5, -3.0, 0.0), P)
+        v = controller_monitor(wp(2.5, -3.0, 0.0), 1.5, 0.0, P)
         assert v.failed_clause is Clause.ANN_BAND
 
 
@@ -246,5 +250,5 @@ def test_non_finite_field_fails_point_monitors(state, field, bad):
 
 def test_infinite_upper_limit_fails_limits_order():
     unbounded = wp(12.0, 0.0, 0.0, vl=1.0, vh=math.inf)
-    assert feas(unbounded, P).failed_clause is Clause.LIMITS_ORDER
+    assert controller_monitor(unbounded, 1.5, 0.0, P).failed_clause is Clause.LIMITS_ORDER
     assert invariant_j(unbounded, 1.5, P).failed_clause is Clause.LIMITS_ORDER

@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from waynet import harness, intervals, monitor
+from waynet import cli, harness, intervals, monitor
 from waynet.core import Params, RelWaypoint
 from waynet.intervals import Ivl, NonFiniteInterval
-from waynet.monitor import Undecided
+from waynet.monitor import Clause, Undecided
 from waynet.plan import curvature_through
 from waynet.verify import sample_compliant_state
 
@@ -77,7 +77,6 @@ def _assert_same_clauses(p, s):
     x, y, k, vl, vh, v, a, elapsed = s
     wp = RelWaypoint(x, y, k, vl, vh)
     for flat, ref, args in (
-            (monitor.feas, monitor_ref.feas, (wp, p)),
             (monitor.go, monitor_ref.go, (wp, v, a, p)),
             (monitor.invariant_j, monitor_ref.invariant_j, (wp, v, p)),
             (monitor.controller_monitor, monitor_ref.controller_monitor, (wp, v, a, p)),
@@ -126,6 +125,12 @@ def _box_outcome(formula, box, p):
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(_states(), st.sampled_from((None,) + _TIES),
        st.lists(st.floats(0.0, 0.3) | st.just(0.0), min_size=7, max_size=7))
+# v straddles vh, so ``v <= vh and v_end <= vh`` is undecided, and the distance
+# disjunct (need <= |x| on x = 50) decides the upper-limit clause.
+@example((_P, [50.0, 0.0, 0.0, 0.5, 2.0, 2.0, 0.0, 0.4]), None, [0.0] * 5 + [0.1, 0.0])
+# v = 3 is above vh = 2, and x straddles Go's need of about 5.233, so
+# ``need <= abs(x)`` is undecided while ``need <= abs(y)`` holds on y = 8.
+@example((_P, [5.233, 8.0, 0.1756, 0.5, 2.0, 3.0, 0.0, 0.4]), None, [0.05] + [0.0] * 6)
 def test_interval_boxes_fail_the_same_clause_or_raise_alike(state, kind, widths):
     p, s = state
     if kind is not None:
@@ -136,10 +141,46 @@ def test_interval_boxes_fail_the_same_clause_or_raise_alike(state, kind, widths)
         assert _box_outcome(flat, box, p) == _box_outcome(ref, box, p), (flat.__name__, s)
 
 
+def test_monitors_are_flat_bodies():
+    """The two float monitors call none of the formula helpers: each call on
+    the decision path is one Python frame (module docstring)."""
+    for fn in (monitor.controller_monitor, monitor.plant_monitor):
+        names = set(fn.__code__.co_names)
+        assert not names & {"feas", "go", "invariant_j", "ann_residual"}, fn.__qualname__
+
+
+def test_monitors_match_the_oracle_on_every_call_of_a_disturbed_grid(monkeypatch, capsys):
+    """Every controller- and plant-monitor call of a one-episode disturbed grid
+    names the same clause as ``monitor_ref`` on the same arguments: the states
+    the loop produces, not only hypothesis draws."""
+    calls = {"controller_monitor": 0, "plant_monitor": 0}
+    clauses = {name: set() for name in calls}
+
+    def recorder(name):
+        fn, ref = getattr(harness, name), getattr(monitor_ref, name)
+
+        def recorded(*args):
+            verdict = fn(*args)
+            assert verdict.failed_clause is ref(*args).failed_clause, (name, args)
+            calls[name] += 1
+            clauses[name].add(verdict.failed_clause)
+            return verdict
+        return recorded
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, recorder(name))
+    assert cli.main(["simulate", "--env", "all", "--controller", "all", "--episodes", "1",
+                     "--disturbance", "0.1,0.002,0.1,0.1", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert min(calls.values()) > 1000, calls
+    # Both monitors pass and fail on this traffic (1,521 and 1,749 calls).
+    assert all(Clause.NONE in seen and len(seen) > 1 for seen in clauses.values()), clauses
+
+
 def test_monitor_bodies_take_no_defaulted_parameter():
     """No tuning knob rides on the decision path: every argument of a monitor
     is given at each call."""
-    for fn in (monitor.feas, monitor.go, monitor.invariant_j, monitor.controller_monitor,
+    for fn in (monitor.go, monitor.invariant_j, monitor.controller_monitor,
                monitor.plant_monitor, monitor.certified_controller_monitor):
         assert fn.__defaults__ is None, fn.__qualname__
 
@@ -147,7 +188,7 @@ def test_monitor_bodies_take_no_defaulted_parameter():
 def test_monitor_bodies_look_up_no_enum_member():
     """Each verdict on the decision path is a global bound at import; an enum
     member read or a ``_fail`` call per verdict costs over ten times more."""
-    for fn in (monitor.feas, monitor.go, monitor.invariant_j, monitor.controller_monitor,
+    for fn in (monitor.go, monitor.invariant_j, monitor.controller_monitor,
                monitor.plant_monitor, monitor.certified_controller_monitor, harness._gate,
                intervals.interval_eval_controller):
         names = set(fn.__code__.co_names)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from waynet import verify
-from waynet.monitor import FAIL_UPPER_SPEED, PASS, feas, go, invariant_j
+from waynet.monitor import FAIL_UPPER_SPEED, PASS, controller_monitor, go, invariant_j
 from waynet.verify import (PROGRESS_CASES, CheckReport, _quadrature_distance,
                            check_invariant_preservation, check_progress, go_oracle,
                            sample_compliant_state)
@@ -16,7 +16,7 @@ def test_sampler_emits_compliant_states():
     rng = random.Random(3)
     for _ in range(50):
         s = sample_compliant_state(rng)
-        assert feas(s.wp, s.p)
+        assert controller_monitor(s.wp, s.v, s.a, s.p)  # Feas and Go
         assert invariant_j(s.wp, s.v, s.p)
         assert go(s.wp, s.v, s.a, s.p)
         assert s.v + s.a * s.p.cycle_max >= 0.0
